@@ -25,11 +25,14 @@ from distset.rset import scaled_with
 
 
 def timed(fn, *args, repeat=3):
+    """Best time of ``repeat`` calls, each on fresh copies of the list
+    arguments (``all_pairs_completion`` rewrites its matrix in place)."""
     best = None
     result = None
     for _ in range(repeat):
+        fresh = [list(a) if isinstance(a, list) else a for a in args]
         t0 = time.perf_counter()
-        result = fn(*args)
+        result = fn(*fresh)
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
     return best, result
@@ -53,8 +56,6 @@ def workloads():
         (pts,),
     )
 
-    unit = RSet([(0, 1)])
-    _, los, his, _ = scaled_with(unit, [])
     n = 48
     den = 97
     flat = [-1] * (n * n)
@@ -86,15 +87,10 @@ def main() -> None:
     if ops_cy is None:
         print("compiled backend unavailable; nothing to compare")
     for label, fname, args in workloads():
-        t_py, r_py = timed(
-            getattr(ops_py, fname), *[list(a) if isinstance(a, list) else a for a in args]
-        )
+        t_py, r_py = timed(getattr(ops_py, fname), *args)
         line = f"{label:48s} python {t_py * 1e3:9.2f} ms"
         if ops_cy is not None:
-            t_cy, r_cy = timed(
-                getattr(ops_cy, fname),
-                *[list(a) if isinstance(a, list) else a for a in args],
-            )
+            t_cy, r_cy = timed(getattr(ops_cy, fname), *args)
             assert r_py == r_cy, f"backend mismatch on {label}"
             line += f"   cython {t_cy * 1e3:9.2f} ms   speedup {t_py / t_cy:6.1f}x"
         print(line)

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil
 
 from . import _core
 from .errors import NonterminationError, ParameterError, SubsetError
-from .rationals import as_rational, lcm_denominator
-from .rset import RSet
+from .rationals import as_rational
+from .rset import RSet, scaled_with
 
 
 @dataclass(frozen=True)
@@ -99,12 +99,7 @@ def subadditive_closure(seed: RSet, rset: RSet) -> tuple[RSet, ClosureTrace]:
         raise ParameterError("closure seed needs a positive member")
     cap = 2 * ceil(rset.max_value / w1) + 2
 
-    den_r, los_r, his_r = rset.scaled()
-    den = lcm(den_r, lcm_denominator(seed.points()))
-    f = den // den_r
-    los = [v * f for v in los_r]
-    his = [v * f for v in his_r]
-    cur = [int(p * den) for p in seed.points()]
+    den, los, his, cur = scaled_with(rset, seed.points())
 
     iterates = [seed]
     minima = [w1]

@@ -38,26 +38,33 @@ def _check_span(a: Fraction, b: Fraction, w: Fraction) -> None:
         raise ParameterError(f"relative width {w} must lie in [0, 1]")
 
 
+def _split(a: Fraction, w: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
+    """The pair (g, d) of the module docstring."""
+    return (
+        HALF * ((1 + w) * a + (1 - w) * b),
+        HALF * ((1 - w) * a + (1 + w) * b),
+    )
+
+
 def gamma(a, w, b) -> Fraction:
     """Right end of the left remainder after removing the middle."""
     fa, fw, fb = as_rational(a), as_rational(w), as_rational(b)
     _check_span(fa, fb, fw)
-    return HALF * ((1 + fw) * fa + (1 - fw) * fb)
+    return _split(fa, fw, fb)[0]
 
 
 def delta(a, w, b) -> Fraction:
     """Left end of the right remainder after removing the middle."""
     fa, fw, fb = as_rational(a), as_rational(w), as_rational(b)
     _check_span(fa, fb, fw)
-    return HALF * ((1 - fw) * fa + (1 + fw) * fb)
+    return _split(fa, fw, fb)[1]
 
 
 def remove_middle(a, w, b) -> RSet:
     """[a, b] minus its open middle interval of length w (b - a)."""
     fa, fw, fb = as_rational(a), as_rational(w), as_rational(b)
     _check_span(fa, fb, fw)
-    g = HALF * ((1 + fw) * fa + (1 - fw) * fb)
-    d = HALF * ((1 - fw) * fa + (1 + fw) * fb)
+    g, d = _split(fa, fw, fb)
     return RSet([(fa, g), (d, fb)])
 
 
@@ -87,8 +94,7 @@ def cantor_set(weights: Sequence) -> RSet:
     for w in vec:
         split = []
         for a, b in intervals:
-            g = HALF * ((1 + w) * a + (1 - w) * b)
-            d = HALF * ((1 - w) * a + (1 + w) * b)
+            g, d = _split(a, w, b)
             split.append((a, g))
             split.append((d, b))
         intervals = split

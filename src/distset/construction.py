@@ -181,7 +181,7 @@ class TreeNode:
 
     @property
     def node_id(self) -> str:
-        return "t" + ".".join(str(i) for i in self.mapping)
+        return _node_id(self.mapping)
 
 
 def _node_id(mapping: Sequence[int]) -> str:
@@ -305,9 +305,7 @@ def build_H_and_L(
                 )
 
     vertices = [node.node_id for node in nodes] + list(u.points)
-    edges = list(
-        (a, b, w) for a, b, w in tree.edges()
-    )
+    edges = tree.edges()
     pts = u.points
     for a in range(len(pts)):
         for b in range(a + 1, len(pts)):

@@ -27,7 +27,6 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Iterable, Sequence
 
 from . import _core
@@ -41,13 +40,13 @@ from .errors import (
     NotMetricError,
     ParameterError,
 )
-from .rationals import as_rational, lcm_denominator, rational_str
-from .rset import RSet
+from .rationals import as_rational, rational_str
+from .rset import RSet, scaled_with
 
 ZERO = Fraction(0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _associativity_report(rset: RSet) -> CheckReport:
     return check_associativity(rset)
 
@@ -228,8 +227,7 @@ class FiniteMetricSpace:
         n = len(self._points)
         flat = [self._d[i][j] for i in range(n) for j in range(n)]
         if flat:
-            den = lcm_denominator(flat)
-            ints = [int(x * den) for x in flat]
+            _, _, _, ints = scaled_with(self._ground, flat)
             bad = _core.validate_metric(n, ints)
             if bad is not None:
                 kind, *where = bad
@@ -550,19 +548,12 @@ def complete_to_metric_space(graph: RGraph) -> FiniteMetricSpace:
 
     n = len(graph.vertices)
     ground = graph.ground_set
-    weights = [w for _, _, w in graph.edges()]
-    den_r, los_r, his_r = ground.scaled()
-    den = lcm_denominator(weights) if weights else 1
-    den = lcm(den, den_r)
-    f = den // den_r
-    los = [v * f for v in los_r]
-    his = [v * f for v in his_r]
+    den, los, his, ints = scaled_with(ground, graph._w.values())
 
     flat = [-1] * (n * n)
     for i in range(n):
         flat[i * n + i] = 0
-    for (i, j), w in graph._w.items():
-        s = int(w * den)
+    for (i, j), s in zip(graph._w, ints):
         flat[i * n + j] = s
         flat[j * n + i] = s
     _core.all_pairs_completion(n, flat, los, his)

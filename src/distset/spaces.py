@@ -15,10 +15,13 @@ prescription, so realizing every extension type of arity 2 (over some
 copy of its base configuration) makes the space universal for 3-point
 spaces over the same distance set.
 
-The searches in this module (isometric embedding, monochromatic or
-near-monochromatic copies, low-oscillation copies, enumeration-order
-embeddings) are deterministic backtracking searches with explicit node
-budgets.
+The embedding searches in this module (isometric embedding,
+monochromatic or near-monochromatic copies, low-oscillation copies,
+enumeration-order embeddings, and the embeddings behind the
+universality check) share one deterministic backtracking core over
+point indices, with an explicit budget.  One budget unit is one
+candidate point tried at a search position; points already chosen are
+skipped without a charge.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .checks import (
     CheckReport,
@@ -387,39 +390,48 @@ def build_saturated_space(
 # -- embedding searches ------------------------------------------------------
 
 
-def _search_embedding(
-    space: FiniteMetricSpace,
-    target: list[list[Fraction]],
-    candidates: Sequence[str],
+def _embed(
+    dist: list[list[Fraction]],
+    target: Sequence[Sequence[Fraction]],
+    cands: Sequence[int],
     budget: list[int] | None,
-) -> dict[int, str] | None:
-    """Backtracking search for an exact-distance injection of a target
-    matrix into the candidate points, in deterministic order."""
-    chosen: list[str] = []
+    what: str,
+    accept: Callable[[list[int], int], bool] | None = None,
+    increasing: bool = False,
+) -> list[int] | None:
+    """The search core: the first injection, in candidate-list order, of
+    the ``target`` matrix into the point indices ``cands`` of ``dist``
+    that keeps every distance exactly, as indices aligned with the
+    target, or None.
 
-    def rec(pos: int) -> bool:
+    ``budget`` is a one-element counter (None: unlimited).  With
+    ``increasing``, candidates listed before the last choice are skipped
+    as chosen points are, before the charge; ``accept(chosen, cand)``
+    prunes after the charge and before the distance comparison.
+    """
+    chosen: list[int] = []
+
+    def rec(pos: int, start: int) -> bool:
         if pos == len(target):
             return True
-        for cand in candidates:
+        for at, cand in enumerate(cands[start:], start):
             if cand in chosen:
                 continue
             if budget is not None:
                 if budget[0] <= 0:
-                    raise BudgetError("embedding search budget exhausted")
+                    raise BudgetError(f"{what} budget exhausted")
                 budget[0] -= 1
-            if all(
-                space.dist(chosen[t], cand) == target[t][pos]
-                for t in range(pos)
-            ):
+            if accept is not None and not accept(chosen, cand):
+                continue
+            row = dist[cand]
+            if all(row[chosen[t]] == target[t][pos] for t in range(pos)):
                 chosen.append(cand)
-                if rec(pos + 1):
+                if rec(pos + 1, at + 1 if increasing else 0):
                     return True
                 chosen.pop()
         return False
 
-    if rec(0):
-        return dict(enumerate(chosen))
-    return None
+    return chosen if rec(0, 0) else None
 
 
 def find_isometric_copy(
@@ -429,13 +441,17 @@ def find_isometric_copy(
     budget: int | None = 1_000_000,
 ) -> dict[str, str] | None:
     """Isometric embedding of ``target`` into ``space`` (restricted to
-    ``candidates`` when given), or None."""
-    cands = list(candidates) if candidates is not None else list(space.points)
+    ``candidates`` when given), or None.  Shared search core: one budget
+    unit per candidate tried; ``budget=None`` means unlimited."""
+    names = space.points if candidates is None else candidates
+    cands = [space.index(p) for p in names]
     counter = None if budget is None else [budget]
-    hit = _search_embedding(space, target.matrix(), cands, counter)
+    hit = _embed(
+        space.matrix(), target.matrix(), cands, counter, "embedding search"
+    )
     if hit is None:
         return None
-    return {target.points[i]: p for i, p in hit.items()}
+    return {t: space.points[i] for t, i in zip(target.points, hit)}
 
 
 def check_universality(
@@ -446,7 +462,7 @@ def check_universality(
 
     The candidate spaces are enumerated as canonical distance matrices
     (minimal under point permutations); the budget caps the number of
-    matrix assignments plus embedding nodes.
+    matrix assignments plus candidates tried by the shared search core.
     """
     if not values.is_finite():
         raise ParameterError("the value set must be finite")
@@ -454,6 +470,8 @@ def check_universality(
         raise ParameterError("n must be at least 1")
     positive = [v for v in values.points() if v > 0]
     counter = [budget]
+    dist = space.matrix()
+    cands = list(range(len(space.points)))
 
     for k in range(1, n + 1):
         if k == 1:
@@ -471,8 +489,7 @@ def check_universality(
             if canon in seen:
                 continue
             seen.add(canon)
-            hit = _search_embedding(space, matrix, list(space.points), counter)
-            if hit is None:
+            if _embed(dist, matrix, cands, counter, "embedding search") is None:
                 witness = {
                     f"d({i},{j})": matrix[i][j]
                     for i in range(k)
@@ -620,39 +637,20 @@ def find_order_embedding(
     ``length`` points of the space into the target subset.
 
     The space's point order is its enumeration.  Returns the image
-    points (aligned with the initial segment) or None.
+    points (aligned with the initial segment) or None.  Shared search
+    core over increasing indices: one budget unit per candidate tried.
     """
     targets = sorted({space.index(p) for p in target})
     want = len(space.points) if length is None else length
     if want < 0 or want > len(space.points):
         raise ParameterError("length must be between 0 and the point count")
-    counter = [budget]
-    chosen: list[int] = []
-
-    def rec(pos: int) -> bool:
-        if pos == want:
-            return True
-        lower = chosen[-1] if chosen else -1
-        for t in targets:
-            if t <= lower:
-                continue
-            if counter[0] <= 0:
-                raise BudgetError("order-embedding budget exhausted")
-            counter[0] -= 1
-            if all(
-                space.dist_by_index(t, chosen[i])
-                == space.dist_by_index(pos, i)
-                for i in range(pos)
-            ):
-                chosen.append(t)
-                if rec(pos + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if rec(0):
-        return tuple(space.points[t] for t in chosen)
-    return None
+    dist = space.matrix()
+    hit = _embed(
+        dist, dist[:want], targets, [budget], "order-embedding", increasing=True
+    )
+    if hit is None:
+        return None
+    return tuple(space.points[t] for t in hit)
 
 
 def partition_distance_function(
@@ -690,7 +688,8 @@ def indivisibility_search(
 
     eps = 0 asks for a copy inside the class itself; eps > 0 allows the
     open eps-neighbourhood.  Colours are tried in ascending order and the
-    first copy found is returned as (colour, embedding).
+    first copy found is returned as (colour, embedding).  Shared search
+    core: one budget unit per candidate tried, across all colours.
     """
     e = as_rational(eps)
     if e < 0:
@@ -702,6 +701,8 @@ def indivisibility_search(
             "target realizes distances the space does not"
         )
     counter = [budget]
+    dist = space.matrix()
+    tgt = target.matrix()
     for colour in coloring.classes():
         inside = coloring.class_points(colour)
         if e == 0:
@@ -710,9 +711,12 @@ def indivisibility_search(
             candidates = eps_neighborhood(space, inside, e)
         if len(candidates) < len(target.points):
             continue
-        hit = _search_embedding(space, target.matrix(), candidates, counter)
+        cands = [space.index(p) for p in candidates]
+        hit = _embed(dist, tgt, cands, counter, "embedding search")
         if hit is not None:
-            return colour, {target.points[i]: p for i, p in hit.items()}
+            return colour, {
+                t: space.points[i] for t, i in zip(target.points, hit)
+            }
     return None
 
 
@@ -724,41 +728,24 @@ def oscillation_search(
     budget: int = 1_000_000,
 ) -> dict[str, str] | None:
     """Isometric copy of ``target`` on which ``func`` oscillates below
-    eps (sup of pairwise gaps strictly under eps), or None."""
+    eps (sup of pairwise gaps strictly under eps), or None.  Shared
+    search core, pruned by that bound: one budget unit per candidate
+    tried."""
     e = as_rational(eps)
     if e <= 0:
         raise ParameterError("eps must be positive")
     values = {str(p): as_rational(v) for p, v in func.items()}
     if set(values) != set(space.points):
         raise ParameterError("the function must be total on the points")
-    tgt = target.matrix()
-    counter = [budget]
-    chosen: list[str] = []
-
-    def rec(pos: int, fmin: Fraction | None, fmax: Fraction | None) -> bool:
-        if pos == len(tgt):
-            return True
-        for cand in space.points:
-            if cand in chosen:
-                continue
-            if counter[0] <= 0:
-                raise BudgetError("oscillation search budget exhausted")
-            counter[0] -= 1
-            v = values[cand]
-            lo = v if fmin is None else min(fmin, v)
-            hi = v if fmax is None else max(fmax, v)
-            if hi - lo >= e:
-                continue
-            if all(
-                space.dist(chosen[t], cand) == tgt[t][pos]
-                for t in range(pos)
-            ):
-                chosen.append(cand)
-                if rec(pos + 1, lo, hi):
-                    return True
-                chosen.pop()
-        return False
-
-    if rec(0, None, None):
-        return {target.points[i]: chosen[i] for i in range(len(chosen))}
-    return None
+    fv = [values[p] for p in space.points]
+    hit = _embed(
+        space.matrix(),
+        target.matrix(),
+        list(range(len(space.points))),
+        [budget],
+        "oscillation search",
+        lambda chosen, c: all(abs(fv[c] - fv[x]) < e for x in chosen),
+    )
+    if hit is None:
+        return None
+    return {t: space.points[i] for t, i in zip(target.points, hit)}

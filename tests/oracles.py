@@ -2,10 +2,12 @@
 
 These deliberately avoid the library's search/closure algorithms: the
 truncated sum is a max-scan over an explicit point list, distances are
-exhaustive trail enumeration, and the four-values oracle quantifies over
-ordered quadruples straight from the definition.
+exhaustive trail enumeration, the four-values oracle quantifies over
+ordered quadruples straight from the definition, and embeddings are
+found by scanning every injection in ``itertools`` order.
 """
 
+import itertools
 from fractions import Fraction
 
 
@@ -96,3 +98,29 @@ def trail_distance(graph, start, end):
         if best is None or w < best:
             best = w
     return best
+
+
+def first_injection(space, target, cands, accept=None, ordered=False):
+    """First tuple of ``cands`` realizing every distance of ``target``.
+
+    Tuples come in ``itertools.permutations`` order, or in
+    ``itertools.combinations`` order when ``ordered``; ``target`` is a
+    distance matrix.  With ``accept`` given, every entry must also pass
+    ``accept(prefix, entry)`` against the entries before it.  Returns the
+    tuple, or None.
+    """
+    k = len(target)
+    tuples = (itertools.combinations if ordered else itertools.permutations)(
+        cands, k
+    )
+    for img in tuples:
+        if all(
+            space.dist(img[s], img[t]) == target[s][t]
+            for s in range(k)
+            for t in range(k)
+        ) and (
+            accept is None
+            or all(accept(img[:i], img[i]) for i in range(k))
+        ):
+            return img
+    return None

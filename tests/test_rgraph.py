@@ -309,6 +309,13 @@ class TestShortcut:
                 assert distance(bigger, x, y) == d
 
 
+def test_associativity_cache_is_bounded():
+    from distset.rgraph import _associativity_report
+
+    maxsize = _associativity_report.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+
+
 class TestCompletion:
     def test_complete_graph_is_fixpoint(self):
         rng = random.Random(41)

@@ -25,6 +25,7 @@ from distset import (
     realizes,
 )
 from conftest import random_metric_space
+from oracles import first_injection
 
 S012 = RSet([0, 1, 2])
 S0123 = RSet([0, 1, 2, 3])
@@ -363,3 +364,147 @@ class TestIsometricCopy:
             S012, ["x", "y"], [[0, 2], [2, 0]]
         )
         assert find_isometric_copy(m, target) is None
+
+
+def _m7():
+    return random_metric_space(random.Random(41), S0123, 7)
+
+
+# Smallest budget each search succeeds with on a fixed input; one unit is
+# one candidate tried, so these pin the accounting of the search core.
+PINNED_BUDGETS = {
+    "isometric-copy": (
+        12,
+        lambda m, b: find_isometric_copy(
+            m, m.subspace(["m6", "m3", "m5"]), budget=b
+        ),
+    ),
+    "indivisibility": (
+        4,
+        lambda m, b: indivisibility_search(
+            m,
+            Coloring(parts={p: i % 2 for i, p in enumerate(m.points)}),
+            m.subspace(["m3", "m5", "m1"]),
+            0,
+            budget=b,
+        ),
+    ),
+    "oscillation": (
+        31,
+        lambda m, b: oscillation_search(
+            m,
+            {p: F(i, 4) for i, p in enumerate(m.points)},
+            F(3, 4),
+            m.subspace(["m0", "m4", "m6"]),
+            budget=b,
+        ),
+    ),
+    "order-embedding": (
+        5,
+        lambda m, b: find_order_embedding(
+            m, ["m2", "m5", "m6"], budget=b, length=2
+        ),
+    ),
+    "order-embedding-exhausted": (
+        32,
+        lambda m, b: find_order_embedding(
+            m, m.points[1:], budget=b, length=3
+        ),
+    ),
+    "universality": (
+        51,
+        lambda m, b: check_universality(
+            build_saturated_space(S012, seed=0), S012, 3, budget=b
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BUDGETS))
+def test_pinned_budget(name):
+    budget, search = PINNED_BUDGETS[name]
+    m = _m7()
+    search(m, budget)
+    with pytest.raises(BudgetError):
+        search(m, budget - 1)
+
+
+def _image(hit, target):
+    return None if hit is None else tuple(hit[p] for p in target.points)
+
+
+def _random_target(rng, m):
+    """A shuffled subspace of ``m`` or, half the time, a random space."""
+    k = rng.randint(1, min(3, len(m.points)))
+    if rng.random() < 0.5:
+        return m.subspace(rng.sample(list(m.points), k))
+    return random_metric_space(rng, S0123, k, prefix="t")
+
+
+class TestFirstHit:
+    """Each search returns the first injection in itertools order."""
+
+    def test_isometric_copy(self):
+        rng = random.Random(53)
+        for _ in range(30):
+            m = random_metric_space(rng, S0123, rng.randint(3, 7))
+            target = _random_target(rng, m)
+            cands = rng.sample(list(m.points), rng.randint(1, len(m.points)))
+            hit = find_isometric_copy(m, target, candidates=cands)
+            assert _image(hit, target) == first_injection(
+                m, target.matrix(), cands
+            )
+
+    def test_indivisibility(self):
+        rng = random.Random(59)
+        for _ in range(30):
+            m = random_metric_space(rng, S0123, rng.randint(3, 7))
+            target = m.subspace(
+                rng.sample(list(m.points), rng.randint(1, 3))
+            )
+            colours = Coloring(parts={p: rng.randint(0, 2) for p in m.points})
+            eps = rng.choice([F(0), F(1), F(3, 2)])
+            expected = None
+            for colour in colours.classes():
+                inside = colours.class_points(colour)
+                if eps == 0:
+                    cands = [p for p in m.points if p in inside]
+                else:
+                    cands = eps_neighborhood(m, inside, eps)
+                img = first_injection(m, target.matrix(), cands)
+                if img is not None:
+                    expected = (colour, img)
+                    break
+            hit = indivisibility_search(m, colours, target, eps)
+            got = None if hit is None else (hit[0], _image(hit[1], target))
+            assert got == expected
+
+    def test_oscillation(self):
+        rng = random.Random(61)
+        for _ in range(30):
+            m = random_metric_space(rng, S0123, rng.randint(3, 7))
+            target = _random_target(rng, m)
+            f = {p: F(rng.randint(0, 8), 4) for p in m.points}
+            eps = rng.choice([F(1, 2), F(1), F(3, 2)])
+
+            def accept(prefix, p):
+                vals = [f[q] for q in prefix + (p,)]
+                return max(vals) - min(vals) < eps
+
+            hit = oscillation_search(m, f, eps, target)
+            assert _image(hit, target) == first_injection(
+                m, target.matrix(), m.points, accept=accept
+            )
+
+    def test_order_embedding(self):
+        rng = random.Random(67)
+        for _ in range(30):
+            n = rng.randint(3, 7)
+            m = random_metric_space(rng, S0123, n)
+            picked = rng.sample(list(m.points), rng.randint(1, n))
+            length = rng.randint(0, n)
+            prefix = [row[:length] for row in m.matrix()[:length]]
+            cands = [p for p in m.points if p in picked]
+            assert find_order_embedding(
+                m, picked, length=length
+            ) == first_injection(m, prefix, cands, ordered=True)
