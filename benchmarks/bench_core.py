@@ -20,9 +20,6 @@ try:
 except ImportError:
     ops_cy = None
 
-from distset.checks import _candidate_values
-from distset.rset import scaled_with
-
 
 def timed(fn, *args, repeat=3):
     """Best time of ``repeat`` calls, each on fresh copies of the list
@@ -40,16 +37,16 @@ def timed(fn, *args, repeat=3):
 
 def workloads():
     deep = cantor_set([F(2, 5)] * 6)
-    cands = _candidate_values(deep)
-    _, los, his, ints = scaled_with(deep, cands)
+    _, los, his = deep.scaled()
+    cands = ops_py.closure_step(sorted({*los, *his}), los, his)
     yield (
         f"assoc scan, depth-6 stage ({len(cands)} candidates)",
         "scan_assoc",
-        (los, his, ints),
+        (los, his, cands),
     )
 
     grid = RSet([F(n, 12) for n in range(0, 37)])
-    _, _, _, pts = scaled_with(grid, grid.points())
+    _, pts, _ = grid.scaled()
     yield (
         f"four-values scan, {len(pts)}-point grid",
         "scan_four_values",

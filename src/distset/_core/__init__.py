@@ -45,10 +45,6 @@ def _pick(*seqs):
     return ops_py
 
 
-def sup_le(los, his, s):
-    return _pick(los, (s,)).sup_le(los, his, s)
-
-
 def scan_assoc(los, his, cands):
     return _pick(his, cands).scan_assoc(los, his, cands)
 

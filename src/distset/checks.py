@@ -32,7 +32,7 @@ from math import ceil, floor
 
 from . import _core
 from .errors import ParameterError
-from .rationals import as_rational, rational_str
+from .rationals import rational_str
 from .rset import RSet, scaled_with
 
 VERDICT_EXHAUSTIVE = "PassedExhaustive"
@@ -121,7 +121,7 @@ def _assoc_witness(rset: RSet, values) -> CheckReport:
     groupings happen to agree, swapping the last two operands is
     guaranteed to expose the disagreement.
     """
-    a, b, c = sorted((as_rational(v) for v in values), reverse=True)
+    a, b, c = sorted(values, reverse=True)
     lhs = rset.oplus(rset.oplus(a, b), c)
     rhs = rset.oplus(a, rset.oplus(b, c))
     if lhs == rhs:
@@ -137,20 +137,6 @@ def _assoc_witness(rset: RSet, values) -> CheckReport:
         lhs=lhs,
         rhs=rhs,
     )
-
-
-def _candidate_values(rset: RSet) -> list[Fraction]:
-    """Interval endpoints closed under one round of truncated sums."""
-    base = set()
-    for lo, hi in rset.intervals:
-        base.add(lo)
-        base.add(hi)
-    ordered = sorted(base)
-    extended = set(ordered)
-    for i, a in enumerate(ordered):
-        for b in ordered[i:]:
-            extended.add(rset.sup_le(a + b))
-    return sorted(extended)
 
 
 def random_member(rset: RSet, rng: random.Random, max_den: int = 64) -> Fraction:
@@ -179,19 +165,16 @@ def check_associativity(
     then over ``sample_budget`` seeded random member triples; passing
     that way is reported as PassedHeuristic with the sample count.
     """
-    if rset.is_finite():
-        cands = rset.points()
-        exhaustive = True
-    else:
-        cands = _candidate_values(rset)
-        exhaustive = False
-
-    den, los, his, ints = scaled_with(rset, cands)
-    hit = _core.scan_assoc(los, his, ints)
+    den, los, his = rset.scaled()
+    finite = rset.is_finite()
+    if finite:
+        cands = los
+    else:  # the endpoints closed under one round of truncated sums
+        cands = _core.closure_step(sorted({*los, *his}), los, his)
+    hit = _core.scan_assoc(los, his, cands)
     if hit is not None:
-        i, j, k = hit
-        return _assoc_witness(rset, (cands[i], cands[j], cands[k]))
-    if exhaustive:
+        return _assoc_witness(rset, [Fraction(cands[t], den) for t in hit])
+    if finite:
         return CheckReport(check="associativity", verdict=VERDICT_EXHAUSTIVE)
 
     if sample_budget < 0:
@@ -245,15 +228,12 @@ def check_4values(
             note="decided via associativity of the truncated sum",
         )
 
-    points = rset.points()
-    den, _, _, ints = scaled_with(rset, points)
-    hit = _core.scan_four_values(ints)
+    den, points, _ = rset.scaled()
+    hit = _core.scan_four_values(points)
     if hit is None:
         return CheckReport(check="four-values", verdict=VERDICT_EXHAUSTIVE)
 
-    i, j, k, l = hit
-    others = [points[i], points[j], points[k]]
-    a = points[l]
+    *others, a = (Fraction(points[t], den) for t in hit)
     linked = []
     for t in range(3):
         rest = [others[u] for u in range(3) if u != t]
@@ -281,21 +261,23 @@ def check_4values(
 def recheck_witness(rset: RSet, report: CheckReport) -> bool:
     """Re-evaluate a Failed report's witness against the set.
 
-    Returns True iff the witness still exhibits the recorded failure:
-    for associativity, the two groupings of (a, b, c) evaluate to the
-    recorded lhs != rhs; for four-values, x links (a,b)|(c,d) and the
+    Returns True iff the witness still exhibits the recorded failure.
+    The witness's shape says which: a triple (a, b, c) whose two
+    groupings evaluate to the recorded lhs != rhs (an associativity
+    failure, also the witness of a four-values report on an interval
+    union); or (a, b, c, d, x) where x links (a,b)|(c,d) and the
     recorded window [lhs, rhs] = [max(|a-d|, |c-b|), min(a+d, c+b)]
     contains no member.
     """
     if report.verdict != VERDICT_FAILED or report.witness is None:
         return False
     w = report.witness
-    if report.check == "associativity":
+    if w.keys() == {"a", "b", "c"}:
         a, b, c = w["a"], w["b"], w["c"]
         lhs = rset.oplus(rset.oplus(a, b), c)
         rhs = rset.oplus(a, rset.oplus(b, c))
         return (lhs, rhs) == (report.lhs, report.rhs) and lhs != rhs
-    if report.check == "four-values":
+    if w.keys() == {"a", "b", "c", "d", "x"}:
         x = w["x"]
         try:
             quad = Quadruple(a=w["a"], b=w["b"], c=w["c"], d=w["d"])

@@ -39,10 +39,11 @@ from .errors import (
     HypothesisError,
     MetricityError,
     NotAnEmbeddingError,
+    NotMetricError,
     ParameterError,
 )
 from .rationals import as_rational, rational_str
-from .rgraph import FiniteMetricSpace, RGraph, complete_to_metric_space, is_metric
+from .rgraph import FiniteMetricSpace, RGraph, complete_to_metric_space
 from .rset import RSet
 
 
@@ -279,33 +280,30 @@ def build_H_and_L(
 
     H is the node tree plus the complete U plus one anchor edge of
     weight r per node.  Verifies the comparable-pair bound
-    |weight(alpha, beta) - d_U(anchor(alpha), anchor(beta))| <= r and
-    that H is metric before completing; violations raise MetricityError
-    since the construction guarantees both.
+    |weight(alpha, beta) - d_U(anchor(alpha), anchor(beta))| <= r on the
+    tree edges; H's metricity is checked by its completion.  Violations
+    of either raise MetricityError since the construction guarantees
+    both.
     """
     u = bridge.space_u
     companion = derive_companion_W(bridge)
     nodes, tree = build_tree(bridge, companion, depth, node_budget)
 
-    node_ids = {node.node_id for node in nodes}
-    if node_ids & set(u.points):
+    anchor = {node.node_id: node.anchor for node in nodes}
+    if anchor.keys() & set(u.points):
         raise ParameterError("point ids of U collide with tree node ids")
 
-    by_mapping = {node.mapping: node for node in nodes}
-    for node in nodes:
-        for shorter in range(1, len(node.mapping)):
-            parent = by_mapping[node.mapping[:shorter]]
-            tree_w = companion.dist_by_index(parent.level, node.level)
-            anchor_d = u.dist(parent.anchor, node.anchor)
-            if abs(tree_w - anchor_d) > bridge.r:
-                raise MetricityError(
-                    "comparable nodes "
-                    f"{parent.node_id}, {node.node_id} break the anchor "
-                    f"bound: |{tree_w} - {anchor_d}| > {bridge.r}"
-                )
-
-    vertices = [node.node_id for node in nodes] + list(u.points)
     edges = tree.edges()
+    for parent_id, node_id, tree_w in edges:
+        anchor_d = u.dist(anchor[parent_id], anchor[node_id])
+        if abs(tree_w - anchor_d) > bridge.r:
+            raise MetricityError(
+                "comparable nodes "
+                f"{parent_id}, {node_id} break the anchor "
+                f"bound: |{tree_w} - {anchor_d}| > {bridge.r}"
+            )
+
+    vertices = list(anchor) + list(u.points)
     pts = u.points
     for a in range(len(pts)):
         for b in range(a + 1, len(pts)):
@@ -314,12 +312,10 @@ def build_H_and_L(
         edges.append((node.node_id, node.anchor, bridge.r))
     graph_h = RGraph(bridge.ground_set, vertices, edges)
 
-    report = is_metric(graph_h)
-    if not report.passed:
-        raise MetricityError(
-            f"anchored graph is not metric; witness {report.witness}"
-        )
-    space_l = complete_to_metric_space(graph_h)
+    try:
+        space_l = complete_to_metric_space(graph_h)
+    except NotMetricError as exc:
+        raise MetricityError(f"anchored graph is not metric: {exc}") from exc
     for a in range(len(pts)):
         for b in range(a + 1, len(pts)):
             if space_l.dist(pts[a], pts[b]) != u.dist_by_index(a, b):

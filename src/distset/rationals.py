@@ -13,9 +13,6 @@ from fractions import Fraction
 
 from .errors import ParameterError
 
-Rational = Fraction
-
-
 def as_rational(value) -> Fraction:
     """Coerce ``value`` (Fraction, int, or ``"p/q"`` string) to a Fraction."""
     if isinstance(value, Fraction):
@@ -28,13 +25,6 @@ def as_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParameterError(f"not a rational: {value!r}") from exc
     raise ParameterError(f"cannot interpret {value!r} as a rational")
-
-
-def as_nonnegative(value) -> Fraction:
-    q = as_rational(value)
-    if q < 0:
-        raise ParameterError(f"expected a non-negative rational, got {q}")
-    return q
 
 
 def rational_str(value: Fraction) -> str:

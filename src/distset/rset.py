@@ -30,9 +30,6 @@ from typing import Iterable, Sequence
 from .errors import MembershipError, ParameterError, RangeError
 from .rationals import as_rational, lcm_denominator, rational_str
 
-ZERO = Fraction(0)
-
-
 class RSet:
     """A nonempty finite union of closed rational intervals in [0, inf).
 

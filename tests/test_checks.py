@@ -1,6 +1,8 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +47,75 @@ class TestAssociativity:
         assert rep.verdict == VERDICT_HEURISTIC
         assert rep.sample_count == 64
 
+    @pytest.mark.parametrize(
+        "rset, verdict, triple, lhs, rhs",
+        [
+            # verdicts and witnesses (a, b, c) of the exhaustive candidate
+            # scan alone, pinned so a change to the candidates shows
+            (MID2, VERDICT_FAILED, (F(1, 3), F(2, 9), F(1, 9)), F(1, 3), F(2, 3)),
+            (
+                cantor_set([F(1, 3)] * 3),
+                VERDICT_FAILED,
+                (F(1, 9), F(2, 27), F(1, 27)),
+                F(1, 9),
+                F(2, 9),
+            ),
+            (
+                cantor_set([F(1, 4)] * 3),
+                VERDICT_FAILED,
+                (F(9, 64), F(27, 512), F(27, 512)),
+                F(9, 64),
+                F(63, 256),
+            ),
+            (
+                cantor_set([F(1, 5), F(1, 3), F(1, 4)]),
+                VERDICT_FAILED,
+                (F(37, 60), F(1, 20), F(1, 20)),
+                F(7, 10),
+                F(43, 60),
+            ),
+            (
+                RSet([(0, F(1, 4)), (F(1, 2), F(3, 4)), (F(3, 2), 2)]),
+                VERDICT_FAILED,
+                (F(3, 4), F(1, 2), F(1, 4)),
+                F(3, 4),
+                F(3, 2),
+            ),
+            (cantor_set([F(2, 5)] * 4), VERDICT_HEURISTIC, None, None, None),
+            (cantor_set([F(3, 7)] * 3), VERDICT_HEURISTIC, None, None, None),
+            (
+                cantor_set([F(2, 5), F(1, 2), F(3, 8)]),
+                VERDICT_HEURISTIC,
+                None,
+                None,
+                None,
+            ),
+            (
+                RSet([(0, F(5, 6)), (F(5, 3), 2)]).scale(F(3, 7)),
+                VERDICT_HEURISTIC,
+                None,
+                None,
+                None,
+            ),
+            (
+                cantor_set([F(2, 5)] * 3).scale(F(5, 2)),
+                VERDICT_HEURISTIC,
+                None,
+                None,
+                None,
+            ),
+        ],
+    )
+    def test_pinned_candidate_scan(self, rset, verdict, triple, lhs, rhs):
+        rep = check_associativity(rset, sample_budget=0)
+        witness = None if triple is None else dict(zip("abc", triple))
+        assert (rep.verdict, rep.witness, rep.lhs, rep.rhs) == (
+            verdict,
+            witness,
+            lhs,
+            rhs,
+        )
+
     def test_deterministic_given_seed(self):
         r = RSet([0, (F(1, 2), 1)])
         a = check_associativity(r, sample_budget=32, seed=9)
@@ -72,6 +143,22 @@ class TestFourValues:
         rep = check_4values(MID2)
         assert rep.verdict == VERDICT_FAILED
         assert rep.witness == {"a": F(1, 3), "b": F(2, 9), "c": F(1, 9)}
+
+    def test_delegated_witness_rechecks_by_shape(self):
+        # an interval union's four-values report carries an associativity
+        # triple; its recheck follows the witness, not the label
+        rep = check_4values(MID2)
+        assert recheck_witness(MID2, rep)
+        wrong = replace(rep, lhs=rep.rhs, rhs=rep.lhs)
+        assert not recheck_witness(MID2, wrong)
+        for r in (
+            cantor_set([F(1, 4)] * 3),
+            RSet([(0, F(1, 4)), (F(1, 2), F(3, 4)), (F(3, 2), 2)]),
+        ):
+            rep = check_4values(r, sample_budget=0)
+            assert rep.check == "four-values"
+            assert rep.verdict == VERDICT_FAILED
+            assert recheck_witness(r, rep)
 
     def test_matches_definition_oracle_small(self):
         rng = random.Random(3)

@@ -8,7 +8,9 @@ from distset import (
     BudgetError,
     FiniteMetricSpace,
     HypothesisError,
+    MetricityError,
     NotAnEmbeddingError,
+    NotMetricError,
     build_bridge_graph,
     build_H_and_L,
     build_tree,
@@ -17,6 +19,7 @@ from distset import (
     is_metric,
     maximal_branch_lengths,
 )
+from distset import construction
 from conftest import random_metric_space
 
 
@@ -231,6 +234,20 @@ class TestHAndL:
                 nb, ub = chain[b]
                 gap = abs(graph_h.weight(na, nb) - u.dist(ua, ub))
                 assert gap <= desk_bridge.r
+
+    def test_non_metric_h_is_a_metricity_error(self, desk_bridge, monkeypatch):
+        # H's metricity is checked by its completion; the construction
+        # guarantees it, so a failure is reported as MetricityError
+        complete = construction.complete_to_metric_space
+
+        def beaten_on_h(graph):
+            if "t0" not in graph.vertices:
+                return complete(graph)  # the bridge graph
+            raise NotMetricError("edge (t0, u0) is beaten")
+
+        monkeypatch.setattr(construction, "complete_to_metric_space", beaten_on_h)
+        with pytest.raises(MetricityError, match="anchored graph is not metric"):
+            build_H_and_L(desk_bridge, 3)
 
 
 class TestNearbyCopy:
