@@ -39,6 +39,9 @@ VERDICT_EXHAUSTIVE = "PassedExhaustive"
 VERDICT_HEURISTIC = "PassedHeuristic"
 VERDICT_FAILED = "Failed"
 
+# starting denominator bound for random interval members
+MAX_SAMPLE_DEN = 64
+
 
 @dataclass(frozen=True)
 class Quadruple:
@@ -139,14 +142,14 @@ def _assoc_witness(rset: RSet, values) -> CheckReport:
     )
 
 
-def random_member(rset: RSet, rng: random.Random, max_den: int = 64) -> Fraction:
+def random_member(rset: RSet, rng: random.Random) -> Fraction:
     """A seeded random member: uniform interval choice, then a rational
     with bounded denominator inside it (the denominator doubles until the
     interval contains one)."""
     lo, hi = rset.intervals[rng.randrange(len(rset.intervals))]
     if lo == hi:
         return lo
-    q = rng.randint(1, max_den)
+    q = rng.randint(1, MAX_SAMPLE_DEN)
     while True:
         pmin = ceil(lo * q)
         pmax = floor(hi * q)

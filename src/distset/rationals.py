@@ -10,6 +10,7 @@ exact).  The canonical text form is ``"p/q"`` with ``gcd(p, q) = 1`` and
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import ParameterError
 
@@ -34,9 +35,4 @@ def rational_str(value: Fraction) -> str:
 
 def lcm_denominator(values) -> int:
     """Least common multiple of the denominators of ``values``."""
-    from math import lcm
-
-    result = 1
-    for v in values:
-        result = lcm(result, v.denominator)
-    return result
+    return lcm(*{v.denominator for v in values})

@@ -30,6 +30,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import _core
+from ._core.ops_py import sup_le
 from .checks import CheckReport, VERDICT_EXHAUSTIVE, VERDICT_FAILED, check_associativity
 from .errors import (
     CheckFailedError,
@@ -63,9 +64,16 @@ def ensure_associative(rset: RSet) -> None:
 
 
 class RGraph:
-    """Simple undirected graph with weights in a distance set."""
+    """Simple undirected graph with weights in a distance set.
 
-    __slots__ = ("_ground", "_vertices", "_index", "_w", "_adj")
+    The weights are encoded once, with the ground set, as ints over one
+    common denominator ``_den``; the searches and the completion run on
+    that image (``_s``, ``_adj``, ``_los``, ``_his``).
+    """
+
+    __slots__ = (
+        "_ground", "_vertices", "_index", "_w", "_s", "_adj", "_den", "_los", "_his"
+    )
 
     def __init__(self, ground_set: RSet, vertices: Sequence[str], edges: Iterable):
         if not ground_set.contains(0):
@@ -79,10 +87,22 @@ class RGraph:
         self._vertices = vs
         self._index = {v: i for i, v in enumerate(vs)}
         self._w: dict[tuple[int, int], Fraction] = {}
-        self._adj: list[list[tuple[int, Fraction]]] = [[] for _ in vs]
         for item in edges:
-            u, v, w = item
+            try:
+                u, v, w = item
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(
+                    f"an edge needs two endpoints and a weight: {item!r}"
+                ) from exc
             self._add_edge(u, v, as_rational(w))
+        self._den, self._los, self._his, ints = scaled_with(
+            ground_set, self._w.values()
+        )
+        self._s = dict(zip(self._w, ints))
+        self._adj: list[list[tuple[int, int]]] = [[] for _ in vs]
+        for (i, j), s in self._s.items():
+            self._adj[i].append((j, s))
+            self._adj[j].append((i, s))
 
     def _add_edge(self, u: str, v: str, w: Fraction) -> None:
         try:
@@ -102,8 +122,6 @@ class RGraph:
                 f"edge weight {w} is not a member of the ground set"
             )
         self._w[(i, j)] = w
-        self._adj[i].append((j, w))
-        self._adj[j].append((i, w))
 
     # -- structure -------------------------------------------------------
 
@@ -125,11 +143,11 @@ class RGraph:
         return len(self._w)
 
     def has_edge(self, u: str, v: str) -> bool:
-        i, j = self._index[u], self._index[v]
+        i, j = self.index(u), self.index(v)
         return (min(i, j), max(i, j)) in self._w
 
     def weight(self, u: str, v: str) -> Fraction:
-        i, j = self._index[u], self._index[v]
+        i, j = self.index(u), self.index(v)
         try:
             return self._w[(min(i, j), max(i, j))]
         except KeyError as exc:
@@ -141,7 +159,10 @@ class RGraph:
         return RGraph(self._ground, self._vertices, combined)
 
     def index(self, v: str) -> int:
-        return self._index[v]
+        try:
+            return self._index[str(v)]
+        except KeyError as exc:
+            raise ParameterError(f"unknown vertex {v!r}") from exc
 
     # -- components ------------------------------------------------------
 
@@ -195,12 +216,16 @@ class RGraph:
 class FiniteMetricSpace:
     """Point set with an exact symmetric distance matrix inside a set.
 
-    Validation checks the metric axioms (kernel-assisted) and that every
-    entry belongs to the ground set.  Pass ``validate=False`` only for
+    The matrix is stored as its integer image: a flat row-major list of
+    ints over one denominator ``_den``, a multiple of the ground set's.
+    The Fraction rows are the ones given to the constructor or, for a
+    space built from an image, decoded on first use.  Validation checks
+    the metric axioms (kernel-assisted) and that every entry belongs to
+    the ground set, both on the image.  Pass ``validate=False`` only for
     matrices produced by operations that guarantee validity.
     """
 
-    __slots__ = ("_ground", "_points", "_index", "_d")
+    __slots__ = ("_ground", "_points", "_index", "_den", "_flat", "_rows")
 
     def __init__(
         self,
@@ -209,45 +234,75 @@ class FiniteMetricSpace:
         dist: Sequence[Sequence],
         validate: bool = True,
     ):
+        self._set_points(points)
+        n = len(self._points)
+        try:
+            square = len(dist) == n and all(len(row) == n for row in dist)
+        except TypeError:
+            square = False
+        if not square:
+            raise ParameterError("distance matrix shape mismatch")
+        self._rows = [[as_rational(x) for x in row] for row in dist]
         self._ground = ground_set
+        self._den, _, _, self._flat = scaled_with(
+            ground_set, [x for row in self._rows for x in row]
+        )
+        if validate:
+            self.validate()
+
+    @classmethod
+    def _from_image(cls, ground_set, points, den, flat, validate):
+        """A space on the integer image ``flat`` over ``den``."""
+        self = cls.__new__(cls)
+        self._set_points(points)
+        self._ground, self._den, self._flat, self._rows = ground_set, den, flat, None
+        if validate:
+            self.validate()
+        return self
+
+    def _set_points(self, points) -> None:
         self._points = tuple(str(p) for p in points)
         if len(set(self._points)) != len(self._points):
             raise ParameterError("point ids must be unique")
-        n = len(self._points)
-        if len(dist) != n or any(len(row) != n for row in dist):
-            raise ParameterError("distance matrix shape mismatch")
-        self._d = [[as_rational(x) for x in row] for row in dist]
         self._index = {p: i for i, p in enumerate(self._points)}
-        if validate:
-            self.validate()
 
     def validate(self) -> None:
         if not self._ground.contains(0):
             raise ParameterError("the ground set must contain 0")
-        n = len(self._points)
-        flat = [self._d[i][j] for i in range(n) for j in range(n)]
-        if flat:
-            _, _, _, ints = scaled_with(self._ground, flat)
-            bad = _core.validate_metric(n, ints)
-            if bad is not None:
-                kind, *where = bad
-                names = {
-                    "diag": "nonzero diagonal",
-                    "sym": "asymmetric entries",
-                    "pos": "non-positive off-diagonal distance",
-                    "tri": "triangle inequality violated",
-                }
-                raise ParameterError(
-                    f"{names[kind]} at {tuple(self._points[w] for w in where)}"
-                )
+        n, flat = len(self._points), self._flat
+        bad = _core.validate_metric(n, flat)
+        if bad is not None:
+            kind, *where = bad
+            names = {
+                "diag": "nonzero diagonal",
+                "sym": "asymmetric entries",
+                "pos": "non-positive off-diagonal distance",
+                "tri": "triangle inequality violated",
+            }
+            raise ParameterError(
+                f"{names[kind]} at {tuple(self._points[w] for w in where)}"
+            )
+        den0, los0, his0 = self._ground.scaled()
+        f = self._den // den0
+        los, his = [v * f for v in los0], [v * f for v in his0]
         for i in range(n):
             for j in range(i + 1, n):
-                if not self._ground.contains(self._d[i][j]):
+                s = flat[i * n + j]
+                if sup_le(los, his, s) != s:
                     raise MembershipError(
-                        f"distance {self._d[i][j]} between "
+                        f"distance {Fraction(s, self._den)} between "
                         f"{self._points[i]} and {self._points[j]} is not "
                         "a member of the ground set"
                     )
+
+    def _decoded(self) -> list[list[Fraction]]:
+        if self._rows is None:
+            n, flat = len(self._points), self._flat
+            value = {s: Fraction(s, self._den) for s in set(flat)}
+            self._rows = [
+                [value[s] for s in flat[i * n : i * n + n]] for i in range(n)
+            ]
+        return self._rows
 
     # -- access ------------------------------------------------------------
 
@@ -269,42 +324,41 @@ class FiniteMetricSpace:
             raise ParameterError(f"unknown point {p!r}") from exc
 
     def dist(self, p: str, q: str) -> Fraction:
-        return self._d[self.index(p)][self.index(q)]
+        return self._decoded()[self.index(p)][self.index(q)]
 
     def dist_by_index(self, i: int, j: int) -> Fraction:
-        return self._d[i][j]
+        return self._decoded()[i][j]
 
     def matrix(self) -> list[list[Fraction]]:
-        return [row[:] for row in self._d]
+        return [row[:] for row in self._decoded()]
 
     def realized_distances(self) -> set[Fraction]:
-        out = {ZERO} if self._points else set()
-        for i in range(len(self._points)):
-            for j in range(i + 1, len(self._points)):
-                out.add(self._d[i][j])
-        return out
+        n, flat = len(self._points), self._flat
+        upper = {flat[i * n + j] for i in range(n) for j in range(i + 1, n)}
+        out = {ZERO} if n else set()
+        return out | {Fraction(s, self._den) for s in upper}
 
     def subspace(self, keep: Sequence[str]) -> "FiniteMetricSpace":
         idx = [self.index(p) for p in keep]
-        sub = [[self._d[i][j] for j in idx] for i in idx]
-        return FiniteMetricSpace(
-            self._ground, [self._points[i] for i in idx], sub, validate=False
+        n, flat = len(self._points), self._flat
+        sub = [flat[i * n + j] for i in idx for j in idx]
+        return FiniteMetricSpace._from_image(
+            self._ground, [self._points[i] for i in idx], self._den, sub, False
         )
 
     def as_rgraph(self) -> RGraph:
+        d = self._decoded()
         edges = []
         for i in range(len(self._points)):
             for j in range(i + 1, len(self._points)):
-                edges.append(
-                    (self._points[i], self._points[j], self._d[i][j])
-                )
+                edges.append((self._points[i], self._points[j], d[i][j]))
         return RGraph(self._ground, self._points, edges)
 
     def to_json_obj(self) -> dict:
         return {
             "set": self._ground.to_json_obj(),
             "points": list(self._points),
-            "dist": [[rational_str(x) for x in row] for row in self._d],
+            "dist": [[rational_str(x) for x in row] for row in self._decoded()],
         }
 
     @classmethod
@@ -344,18 +398,19 @@ def walk_weight(graph: RGraph, walk: Sequence[str]) -> Fraction:
 
 
 def _sssp(graph: RGraph, src: int):
-    """Label-setting single-source distances (and predecessor trees).
+    """Label-setting single-source distances (and predecessor trees), as
+    ints over the graph's denominator.
 
     Valid because extending a walk never decreases its weight and the
     truncated sum is monotone in each argument.
     """
     n = len(graph.vertices)
-    dist: list[Fraction | None] = [None] * n
+    dist: list[int | None] = [None] * n
     pred: list[int | None] = [None] * n
-    dist[src] = ZERO
-    heap: list[tuple[Fraction, int]] = [(ZERO, src)]
+    dist[src] = 0
+    heap: list[tuple[int, int]] = [(0, src)]
     done = [False] * n
-    sup_le = graph.ground_set.sup_le
+    los, his = graph._los, graph._his
     while heap:
         d, x = heapq.heappop(heap)
         if done[x]:
@@ -364,7 +419,7 @@ def _sssp(graph: RGraph, src: int):
         for y, w in graph._adj[x]:
             if done[y]:
                 continue
-            nd = sup_le(d + w)
+            nd = sup_le(los, his, d + w)
             if dist[y] is None or nd < dist[y]:
                 dist[y] = nd
                 pred[y] = x
@@ -379,7 +434,7 @@ def distance(graph: RGraph, a: str, b: str) -> Fraction:
     dist, _ = _sssp(graph, i)
     if dist[j] is None:
         raise DisconnectedError(f"no walk joins {a} and {b}")
-    return dist[j]
+    return Fraction(dist[j], graph._den)
 
 
 def _walk_to(pred, j) -> list[int]:
@@ -399,12 +454,11 @@ def is_metric(graph: RGraph) -> CheckReport:
     ensure_associative(graph.ground_set)
     dists = {}
     preds = {}
-    for (i, j) in sorted(graph._w):
+    for (i, j) in sorted(graph._s):
         if i not in dists:
             dists[i], preds[i] = _sssp(graph, i)
         d = dists[i][j]
-        w = graph._w[(i, j)]
-        if d != w:
+        if d != graph._s[(i, j)]:
             trail = [graph.vertices[t] for t in _walk_to(preds[i], j)]
             return CheckReport(
                 check="metric-graph",
@@ -413,8 +467,8 @@ def is_metric(graph: RGraph) -> CheckReport:
                     "edge": [graph.vertices[i], graph.vertices[j]],
                     "trail": trail,
                 },
-                lhs=w,
-                rhs=d,
+                lhs=graph._w[(i, j)],
+                rhs=Fraction(d, graph._den),
             )
     return CheckReport(check="metric-graph", verdict=VERDICT_EXHAUSTIVE)
 
@@ -547,24 +601,21 @@ def complete_to_metric_space(graph: RGraph) -> FiniteMetricSpace:
     ensure_associative(graph.ground_set)
 
     n = len(graph.vertices)
-    ground = graph.ground_set
-    den, los, his, ints = scaled_with(ground, graph._w.values())
-
     flat = [-1] * (n * n)
     for i in range(n):
         flat[i * n + i] = 0
-    for (i, j), s in zip(graph._w, ints):
+    for (i, j), s in graph._s.items():
         flat[i * n + j] = s
         flat[j * n + i] = s
-    _core.all_pairs_completion(n, flat, los, his)
+    _core.all_pairs_completion(n, flat, graph._los, graph._his)
 
-    d = [
-        [Fraction(flat[i * n + j], den) for j in range(n)] for i in range(n)
-    ]
-    for (i, j), w in graph._w.items():
-        if d[i][j] != w:
+    for (i, j), s in graph._s.items():
+        if flat[i * n + j] != s:
             raise NotMetricError(
                 f"edge ({graph.vertices[i]}, {graph.vertices[j]}) of weight "
-                f"{w} is beaten by a walk of weight {d[i][j]}"
+                f"{graph._w[(i, j)]} is beaten by a walk of weight "
+                f"{Fraction(flat[i * n + j], graph._den)}"
             )
-    return FiniteMetricSpace(ground, graph.vertices, d, validate=True)
+    return FiniteMetricSpace._from_image(
+        graph.ground_set, graph.vertices, graph._den, flat, validate=True
+    )

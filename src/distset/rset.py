@@ -264,7 +264,13 @@ class RSet:
     def from_json_obj(cls, obj: dict) -> "RSet":
         if not isinstance(obj, dict) or "intervals" not in obj:
             raise ParameterError("set JSON must carry an 'intervals' key")
-        return cls([tuple(pair) for pair in obj["intervals"]])
+        try:
+            pairs = [tuple(pair) for pair in obj["intervals"]]
+        except TypeError as exc:
+            raise ParameterError(
+                "set JSON 'intervals' must list [lo, hi] pairs"
+            ) from exc
+        return cls(pairs)
 
 
 def scaled_with(rset: RSet, extra_values) -> tuple[int, list[int], list[int], list[int]]:
@@ -274,13 +280,11 @@ def scaled_with(rset: RSet, extra_values) -> tuple[int, list[int], list[int], li
     common denominator stays over that denominator, so kernels can run on
     ints exactly.
     """
-    den0, _, _ = rset.scaled()
+    den0, los0, his0 = rset.scaled()
     extras = [as_rational(v) for v in extra_values]
-    den = lcm_denominator(extras) if extras else 1
-    den = lcm(den0, den)
+    den = lcm(den0, lcm_denominator(extras))
     f = den // den0
-    _, los0, his0 = rset.scaled()
     los = [v * f for v in los0]
     his = [v * f for v in his0]
-    ints = [int(v * den) for v in extras]
+    ints = [v.numerator * (den // v.denominator) for v in extras]
     return den, los, his, ints

@@ -89,7 +89,13 @@ class Coloring:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Coloring":
-        return cls(parts={str(p): int(c) for p, c in obj.get("parts", {}).items()})
+        parts = {}
+        for p, c in obj.get("parts", {}).items():
+            try:
+                parts[str(p)] = int(c)
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(f"colour {c!r} of {p} is not an integer") from exc
+        return cls(parts=parts)
 
 
 def eps_neighborhood(

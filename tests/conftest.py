@@ -68,6 +68,10 @@ from distset import (
 from distset import _core
 
 
+def pytest_report_header():
+    return f"distset backend: {_core.backend_name()}"
+
+
 @pytest.fixture
 def ground_0123():
     return RSet([0, 1, 2, 3])

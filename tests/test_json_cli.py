@@ -268,6 +268,34 @@ class TestCliContract:
         code, _, err = run_cli(capsys, "set", "check", "--input", missing)
         assert code == 2
         assert "error:" in err
+        grid = RSet([0, 1, 2, 3]).to_json_obj()
+        graph = write_json(
+            tmp_path, "g.json",
+            {"set": grid, "vertices": ["a", "b"], "edges": [["a", "b", "1"]]},
+        )
+        space = write_json(
+            tmp_path, "m.json",
+            {"set": grid, "points": ["p", "q"], "dist": [["0", "1"], ["1", "0"]]},
+        )
+        malformed = [
+            ("graph", "shortcut", "--graph", graph, "--a", "zz", "--b", "a"),
+            ("set", "check", "--input",
+             write_json(tmp_path, "s.json", {"intervals": [1, 2]})),
+            ("graph", "check", "--graph", write_json(
+                tmp_path, "e.json",
+                {"set": grid, "vertices": ["a", "b"], "edges": [["a", "b"]]},
+            )),
+            ("space", "extension", "--k", "1", "--space", write_json(
+                tmp_path, "d.json", {"set": grid, "points": ["p"], "dist": 5}
+            )),
+            ("space", "color", "--space", space, "--target", space,
+             "--coloring",
+             write_json(tmp_path, "c.json", {"parts": {"p": "red", "q": 0}})),
+        ]
+        for argv in malformed:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: "), argv
 
     def test_output_file_and_pretty(self, capsys, tmp_path):
         out_path = tmp_path / "out.json"

@@ -39,6 +39,25 @@ def triangle_113():
     )
 
 
+def foreign_denominator_graph():
+    """Metric graph on [0, 5] whose weights have denominators (7, 9, 4)
+    that the ground set lacks; the chord b-f is reached only by a
+    truncated walk."""
+    return RGraph(
+        RSet([(0, 5)]),
+        ["a", "b", "c", "d", "e", "f"],
+        [
+            ("a", "b", F(1, 7)),
+            ("b", "c", F(2, 9)),
+            ("a", "c", F(23, 63)),
+            ("c", "d", F(3, 4)),
+            ("d", "e", F(22, 7)),
+            ("e", "f", F(17, 9)),
+            ("b", "f", 5),
+        ],
+    )
+
+
 def desk_bridge_graph(desk_bridge):
     from distset import build_bridge_graph
 
@@ -59,6 +78,19 @@ class TestRGraphBasics:
             RGraph(R0123, ["a", "b"], [("a", "b", 0)])
         with pytest.raises(ParameterError):
             RGraph(RSet([1, 2]), ["a", "b"], [("a", "b", 1)])  # no zero
+        with pytest.raises(ParameterError, match="two endpoints and a weight"):
+            RGraph(R0123, ["a", "b"], [("a", "b")])
+
+    def test_unknown_vertex_is_a_parameter_error(self):
+        g = triangle_113()
+        for lookup in (
+            lambda: g.index("zz"),
+            lambda: g.has_edge("a", "zz"),
+            lambda: g.weight("zz", "a"),
+            lambda: distance(g, "a", "zz"),
+        ):
+            with pytest.raises(ParameterError, match="unknown vertex 'zz'"):
+                lookup()
 
     def test_json_round_trip(self):
         g = triangle_113()
@@ -119,6 +151,10 @@ class TestDistance:
             pts = graph.vertices
             a, b = rng.sample(pts, 2)
             assert distance(graph, a, b) == trail_distance(graph, a, b)
+        graph = foreign_denominator_graph()
+        for a in graph.vertices:
+            for b in graph.vertices:
+                assert distance(graph, a, b) == trail_distance(graph, a, b)
 
 
 class TestIsMetric:
@@ -136,6 +172,24 @@ class TestIsMetric:
         assert rep.witness["edge"] == ["a", "c"]
         assert rep.lhs == F(3) and rep.rhs == F(2)
         assert rep.witness["trail"] == ["a", "b", "c"]
+
+    def test_failure_on_foreign_denominators(self):
+        # d(a, d) = 1/3 (+) 3/4 = 13/12 beats the edge of weight 2
+        g = RGraph(
+            RSet([(0, 5)]),
+            ["a", "b", "c", "d"],
+            [
+                ("a", "b", F(1, 7)),
+                ("b", "c", F(2, 9)),
+                ("c", "d", F(3, 4)),
+                ("a", "d", 2),
+                ("a", "c", F(1, 3)),
+            ],
+        )
+        rep = is_metric(g)
+        assert rep.verdict == "Failed"
+        assert rep.witness == {"edge": ["a", "d"], "trail": ["a", "c", "d"]}
+        assert rep.lhs == F(2) and rep.rhs == F(13, 12)
 
     def test_desk_bridge_is_metric(self, desk_bridge):
         assert is_metric(desk_bridge_graph(desk_bridge)).passed
@@ -358,6 +412,7 @@ class TestCompletion:
 
     def test_matches_trail_oracle_everywhere(self):
         rng = random.Random(43)
+        graphs = []
         for _ in range(10):
             ground = random_associative_set(rng, max_size=6)
             if ground.max_value == 0:
@@ -365,6 +420,9 @@ class TestCompletion:
             graph, _ = random_connected_metric_graph(
                 rng, ground, rng.randint(2, 6)
             )
+            graphs.append(graph)
+        graphs.append(foreign_denominator_graph())
+        for graph in graphs:
             space = complete_to_metric_space(graph)
             pts = graph.vertices
             for i, a in enumerate(pts):
@@ -398,6 +456,12 @@ class TestFiniteMetricSpace:
         with pytest.raises(MembershipError):
             FiniteMetricSpace(
                 RSet([0, 1, 2]), ["a", "b"], [[0, F(1, 2)], [F(1, 2), 0]]
+            )
+        with pytest.raises(MembershipError, match="3/2 between a and c"):
+            FiniteMetricSpace(
+                RSet([(0, 1), (2, 5)]),
+                ["a", "b", "c"],
+                [[0, F(1, 7), F(3, 2)], [F(1, 7), 0, F(3, 2)], [F(3, 2)] * 2 + [0]],
             )
 
     def test_json_round_trip(self, desk_bridge):
