@@ -216,16 +216,18 @@ class RGraph:
 class FiniteMetricSpace:
     """Point set with an exact symmetric distance matrix inside a set.
 
-    The matrix is stored as its integer image: a flat row-major list of
-    ints over one denominator ``_den``, a multiple of the ground set's.
-    The Fraction rows are the ones given to the constructor or, for a
-    space built from an image, decoded on first use.  Validation checks
-    the metric axioms (kernel-assisted) and that every entry belongs to
-    the ground set, both on the image.  Pass ``validate=False`` only for
-    matrices produced by operations that guarantee validity.
+    Beside its Fraction rows, a space keeps the integer image of its
+    matrix: a flat row-major list of ints over one denominator ``_den``,
+    a multiple of the ground set's, with the set's interval endpoints
+    ``_los``/``_his`` scaled to it.  Validation checks the metric axioms
+    (kernel-assisted) and that every entry belongs to the ground set,
+    both on the image.  Pass ``validate=False`` only for matrices
+    produced by operations that guarantee validity.
     """
 
-    __slots__ = ("_ground", "_points", "_index", "_den", "_flat", "_rows")
+    __slots__ = (
+        "_ground", "_points", "_index", "_den", "_los", "_his", "_flat", "_rows"
+    )
 
     def __init__(
         self,
@@ -244,18 +246,23 @@ class FiniteMetricSpace:
             raise ParameterError("distance matrix shape mismatch")
         self._rows = [[as_rational(x) for x in row] for row in dist]
         self._ground = ground_set
-        self._den, _, _, self._flat = scaled_with(
+        self._den, self._los, self._his, self._flat = scaled_with(
             ground_set, [x for row in self._rows for x in row]
         )
         if validate:
             self.validate()
 
     @classmethod
-    def _from_image(cls, ground_set, points, den, flat, validate):
-        """A space on the integer image ``flat`` over ``den``."""
+    def _from_image(cls, ground_set, points, image, validate):
+        """A space on the integer image ``(den, los, his, flat)``; its
+        rows are decoded with one Fraction per distinct value."""
         self = cls.__new__(cls)
         self._set_points(points)
-        self._ground, self._den, self._flat, self._rows = ground_set, den, flat, None
+        self._ground = ground_set
+        self._den, self._los, self._his, self._flat = image
+        n, flat = len(self._points), self._flat
+        value = {s: Fraction(s, self._den) for s in set(flat)}
+        self._rows = [[value[s] for s in flat[i * n : i * n + n]] for i in range(n)]
         if validate:
             self.validate()
         return self
@@ -282,27 +289,16 @@ class FiniteMetricSpace:
             raise ParameterError(
                 f"{names[kind]} at {tuple(self._points[w] for w in where)}"
             )
-        den0, los0, his0 = self._ground.scaled()
-        f = self._den // den0
-        los, his = [v * f for v in los0], [v * f for v in his0]
+        los, his = self._los, self._his
         for i in range(n):
             for j in range(i + 1, n):
                 s = flat[i * n + j]
                 if sup_le(los, his, s) != s:
                     raise MembershipError(
-                        f"distance {Fraction(s, self._den)} between "
+                        f"distance {self._rows[i][j]} between "
                         f"{self._points[i]} and {self._points[j]} is not "
                         "a member of the ground set"
                     )
-
-    def _decoded(self) -> list[list[Fraction]]:
-        if self._rows is None:
-            n, flat = len(self._points), self._flat
-            value = {s: Fraction(s, self._den) for s in set(flat)}
-            self._rows = [
-                [value[s] for s in flat[i * n : i * n + n]] for i in range(n)
-            ]
-        return self._rows
 
     # -- access ------------------------------------------------------------
 
@@ -324,41 +320,46 @@ class FiniteMetricSpace:
             raise ParameterError(f"unknown point {p!r}") from exc
 
     def dist(self, p: str, q: str) -> Fraction:
-        return self._decoded()[self.index(p)][self.index(q)]
+        return self._rows[self.index(p)][self.index(q)]
 
     def dist_by_index(self, i: int, j: int) -> Fraction:
-        return self._decoded()[i][j]
+        return self._rows[i][j]
 
     def matrix(self) -> list[list[Fraction]]:
-        return [row[:] for row in self._decoded()]
+        return [row[:] for row in self._rows]
 
     def realized_distances(self) -> set[Fraction]:
-        n, flat = len(self._points), self._flat
-        upper = {flat[i * n + j] for i in range(n) for j in range(i + 1, n)}
-        out = {ZERO} if n else set()
-        return out | {Fraction(s, self._den) for s in upper}
+        out = {ZERO} if self._points else set()
+        for i in range(len(self._points)):
+            for j in range(i + 1, len(self._points)):
+                out.add(self._rows[i][j])
+        return out
 
     def subspace(self, keep: Sequence[str]) -> "FiniteMetricSpace":
         idx = [self.index(p) for p in keep]
         n, flat = len(self._points), self._flat
         sub = [flat[i * n + j] for i in idx for j in idx]
         return FiniteMetricSpace._from_image(
-            self._ground, [self._points[i] for i in idx], self._den, sub, False
+            self._ground,
+            [self._points[i] for i in idx],
+            (self._den, self._los, self._his, sub),
+            validate=False,
         )
 
     def as_rgraph(self) -> RGraph:
-        d = self._decoded()
         edges = []
         for i in range(len(self._points)):
             for j in range(i + 1, len(self._points)):
-                edges.append((self._points[i], self._points[j], d[i][j]))
+                edges.append(
+                    (self._points[i], self._points[j], self._rows[i][j])
+                )
         return RGraph(self._ground, self._points, edges)
 
     def to_json_obj(self) -> dict:
         return {
             "set": self._ground.to_json_obj(),
             "points": list(self._points),
-            "dist": [[rational_str(x) for x in row] for row in self._decoded()],
+            "dist": [[rational_str(x) for x in row] for row in self._rows],
         }
 
     @classmethod
@@ -617,5 +618,8 @@ def complete_to_metric_space(graph: RGraph) -> FiniteMetricSpace:
                 f"{Fraction(flat[i * n + j], graph._den)}"
             )
     return FiniteMetricSpace._from_image(
-        graph.ground_set, graph.vertices, graph._den, flat, validate=True
+        graph.ground_set,
+        graph.vertices,
+        (graph._den, graph._los, graph._his, flat),
+        validate=True,
     )
