@@ -4,8 +4,10 @@ The hot loops (candidate-triple associativity scans, four-values scans,
 closure rounds, all-pairs completion) run on scaled integers.  A compiled
 Cython backend is preferred when it imported successfully and every input
 fits comfortably in int64; otherwise the pure-Python backend (arbitrary
-precision) handles the call.  Both backends implement identical iteration
-orders, so results are interchangeable bit for bit.
+precision) handles the call.  Both backends return the same results bit
+for bit, so they are interchangeable; their loops need not visit the
+inputs in the same order (the Python closure round skips the sums that
+can only truncate to max R).
 
 Set ``DISTSET_PURE_PYTHON=1`` to force the Python backend.
 """

@@ -6,8 +6,9 @@ ints.  Because the truncated sum of two set members is either an interval
 endpoint or an exact sum, the common denominator is stable under every
 operation here, so integer arithmetic stays exact.
 
-The compiled backend in ``_ops_cy.pyx`` implements the same functions
-with the same iteration order; results must be bit-identical.
+The compiled backend in ``_ops_cy.pyx`` implements the same functions.
+Their results must be bit-identical; their loops need not run in the
+same order.
 
 Set representation: two parallel sorted lists ``los``/``his`` of closed
 interval endpoints, pairwise disjoint and ascending.  Finite point sets
@@ -125,13 +126,29 @@ def scan_four_values(points):
 
 def closure_step(points, los, his):
     """One closure round: the sorted union of ``points`` with all
-    pairwise truncated sums (taken in the ambient set ``los``/``his``)."""
-    out = set(points)
+    pairwise truncated sums (taken in the ambient set ``los``/``his``).
+
+    ``points`` is ascending.  Every sum above max R truncates to max R, so
+    each ``p`` is summed only with the partners that keep the sum at or
+    below max R, max R is added once if any sum went past it, and each
+    distinct sum is truncated once.
+    """
+    top = his[-1]
     n = len(points)
+    sums = set()
+    over = False
     for i in range(n):
         p = points[i]
-        for j in range(i, n):
-            out.add(sup_le(los, his, p + points[j]))
+        k = bisect_right(points, top - p, i)
+        if k < n:
+            over = True
+            if k == i:
+                break  # every later p overshoots too
+        sums.update(map(p.__add__, points[i:k]))
+    out = set(points)
+    out.update(sup_le(los, his, s) for s in sums)
+    if over:
+        out.add(top)
     return sorted(out)
 
 

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import approx, cantor, checks, construction, rgraph, spaces
-from .errors import DistSetError
+from .errors import DistSetError, ParameterError
 from .rationals import as_rational
 from .rgraph import FiniteMetricSpace, RGraph
 from .rset import RSet
@@ -231,9 +231,10 @@ def _cmd_space_color(args) -> int:
 def _cmd_space_oscillate(args) -> int:
     space = _load_space(args.space)
     func_obj = _load_json(args.f)
-    func = {
-        str(p): as_rational(v) for p, v in func_obj.get("values", {}).items()
-    }
+    values = func_obj.get("values", {}) if isinstance(func_obj, dict) else None
+    if not isinstance(values, dict):
+        raise ParameterError("function JSON must map 'values' to an object")
+    func = {str(p): as_rational(v) for p, v in values.items()}
     target = _load_space(args.target)
     hit = spaces.oscillation_search(
         space, func, as_rational(args.eps), target, budget=args.budget

@@ -112,8 +112,12 @@ class BridgeInput:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "BridgeInput":
-        if not isinstance(obj, dict) or "set" not in obj:
+        if not isinstance(obj, dict) or any(
+            key not in obj for key in ("set", "U", "V")
+        ):
             raise ParameterError("bridge JSON must carry 'set', 'U', 'V'")
+        if "r" not in obj:
+            raise ParameterError("bridge JSON must carry 'r'")
         ground = RSet.from_json_obj(obj["set"])
         return cls(
             ground_set=ground,

@@ -87,6 +87,10 @@ class RGraph:
         self._vertices = vs
         self._index = {v: i for i, v in enumerate(vs)}
         self._w: dict[tuple[int, int], Fraction] = {}
+        try:
+            edges = list(edges)
+        except TypeError as exc:
+            raise ParameterError(f"edges must be a list: {edges!r}") from exc
         for item in edges:
             try:
                 u, v, w = item

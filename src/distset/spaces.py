@@ -22,14 +22,21 @@ universality check) share one deterministic backtracking core over
 point indices, with an explicit budget.  One budget unit is one
 candidate point tried at a search position; points already chosen are
 skipped without a charge.
+
+Searches and the saturation builder work on integer images: distances
+scaled to one common denominator, which keeps their order, so every
+enumeration order, seeded choice and budget charge is the one exact
+rationals would give.  Only witnesses and returned spaces are decoded.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .checks import (
@@ -45,11 +52,9 @@ from .errors import (
     ParameterError,
     PartitionError,
 )
-from .rationals import as_rational, rational_str
+from .rationals import as_rational, lcm_denominator, rational_str
 from .rgraph import FiniteMetricSpace
 from .rset import RSet
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -89,8 +94,11 @@ class Coloring:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Coloring":
+        given = obj.get("parts", {}) if isinstance(obj, dict) else None
+        if not isinstance(given, dict):
+            raise ParameterError("colouring JSON must map 'parts' to an object")
         parts = {}
-        for p, c in obj.get("parts", {}).items():
+        for p, c in given.items():
             try:
                 parts[str(p)] = int(c)
             except (TypeError, ValueError) as exc:
@@ -165,20 +173,9 @@ def _extension_class_key(space: FiniteMetricSpace, subset, values) -> tuple:
     """Isometry-class key of a one-point extension: the base's distance
     matrix together with the prescribed values, minimized over base
     orderings."""
-    k = len(subset)
     idx = [space.index(p) for p in subset]
-    best = None
-    for perm in itertools.permutations(range(k)):
-        base = tuple(
-            space.dist_by_index(idx[perm[a]], idx[perm[b]])
-            for a in range(k)
-            for b in range(a + 1, k)
-        )
-        vals = tuple(values[perm[a]] for a in range(k))
-        key = (base, vals)
-        if best is None or key < best:
-            best = key
-    return best
+    base = [[space.dist_by_index(a, b) for b in idx] for a in idx]
+    return _canonical_form(len(idx), base, values)
 
 
 def find_unrealized_katetov(
@@ -219,7 +216,7 @@ def find_unrealized_katetov(
 # -- saturation builder ------------------------------------------------------
 
 
-def _admissible_pairs(values: Sequence[Fraction], d: Fraction):
+def _admissible_pairs(values: Sequence[int], d: int):
     """Unordered admissible value pairs for a base pair at distance d."""
     out = []
     for a in range(len(values)):
@@ -236,36 +233,39 @@ class _SaturationState:
     Tracks which distances occur at all (the singleton types) and, per
     occurring pair distance, which unordered value pairs have a witness
     somewhere.  Both requirement sets live over the value set only, so
-    they are finite and independent of the point count.
+    they are finite and independent of the point count.  Distances are
+    the value set's scaled ints.
     """
 
-    def __init__(self, positive: list[Fraction]):
+    def __init__(self, positive: list[int]):
         self.positive = positive
-        self.pair_types: dict[Fraction, list] = {}
-        self.present: set[Fraction] = set()
+        self.pair_types: dict[int, list] = {}
+        self.present: set[int] = set()
         self.witnessed: set[tuple] = set()
-        self.instances: dict[Fraction, list[tuple[int, int]]] = {}
+        self.instances: dict[int, list[tuple[int, int]]] = {}
 
-    def admissible(self, d: Fraction):
+    def admissible(self, d: int):
         if d not in self.pair_types:
             self.pair_types[d] = _admissible_pairs(self.positive, d)
         return self.pair_types[d]
 
-    def add_point(self, d: list[list[Fraction]]) -> None:
+    def add_point(self, d: list[list[int]]) -> None:
         m = len(d) - 1
         row = d[m]
+        witness = self.witnessed.add
         for i in range(m):
+            a, base = row[i], d[i]
             for j in range(i + 1, m):
-                f1, f2 = sorted((row[i], row[j]))
-                self.witnessed.add((d[i][j], f1, f2))
+                b = row[j]
+                witness((base[j], a, b) if a <= b else (base[j], b, a))
         for i in range(m):
             dist = row[i]
             self.present.add(dist)
             self.instances.setdefault(dist, []).append((i, m))
             for z in range(m):
                 if z != i:
-                    f1, f2 = sorted((d[z][i], row[z]))
-                    self.witnessed.add((dist, f1, f2))
+                    a, b = d[z][i], row[z]
+                    witness((dist, a, b) if a <= b else (dist, b, a))
 
     def missing(self, arity: int) -> list[tuple]:
         out: list[tuple] = [
@@ -323,18 +323,22 @@ def build_saturated_space(
             f"value set fails the four-values check; witness {report.witness}"
         )
 
-    positive = [v for v in values.points() if v > 0]
+    # the matrix is kept as ints over the value set's denominator
+    den, los, his = values.scaled()
+    positive = [v for v in los if v > 0]
     pts = ["p0"]
-    d: list[list[Fraction]] = [[ZERO]]
-    if not positive:
-        return FiniteMetricSpace(values, pts, d)
-
+    d: list[list[int]] = [[0]]
     state = _SaturationState(positive)
     rng = random.Random(seed)
 
+    def current_space(validate: bool) -> FiniteMetricSpace:
+        flat = [x for row in d for x in row]
+        return FiniteMetricSpace._from_image(
+            values, pts, (den, los, his, flat), validate
+        )
+
     def realize(subset: tuple[int, ...], prescription: tuple) -> None:
-        new_id = f"p{len(pts)}"
-        row: list[Fraction | None] = [None] * len(pts)
+        row: list[int | None] = [None] * len(pts)
         for pos, i in enumerate(subset):
             row[i] = prescription[pos]
         fixed = list(subset)
@@ -343,7 +347,9 @@ def build_saturated_space(
                 continue
             lo = max(abs(row[x] - d[x][w]) for x in fixed)
             hi = min(row[x] + d[x][w] for x in fixed)
-            choices = [v for v in positive if lo <= v <= hi]
+            choices = positive[
+                bisect_left(positive, lo) : bisect_right(positive, hi)
+            ]
             if not choices:
                 raise CompletionError(
                     f"no admissible distance for the new point at {pts[w]}"
@@ -352,8 +358,8 @@ def build_saturated_space(
             fixed.append(w)
         for a in range(len(pts)):
             d[a].append(row[a])
-        d.append(list(row) + [ZERO])
-        pts.append(new_id)
+        d.append(row + [0])
+        pts.append(f"p{len(pts)}")
         state.add_point(d)
 
     def realize_requirement(req: tuple) -> None:
@@ -367,15 +373,14 @@ def build_saturated_space(
 
     while len(pts) < max_points:
         missing = state.missing(witness_arity)
-        generic_func = None
         if not missing and witness_arity > 2:
-            space = FiniteMetricSpace(values, pts, d, validate=False)
+            space = current_space(False)
             generic_func = find_unrealized_katetov(space, values, witness_arity)
             if generic_func is not None:
-                subset = tuple(space.index(p) for p in generic_func.domain)
+                domain = generic_func.domain
                 realize(
-                    subset,
-                    tuple(generic_func.values[p] for p in generic_func.domain),
+                    tuple(space.index(p) for p in domain),
+                    tuple(int(generic_func.values[p] * den) for p in domain),
                 )
                 continue
         if not missing:
@@ -390,15 +395,23 @@ def build_saturated_space(
                 progress = True
         if not progress:
             break
-    return FiniteMetricSpace(values, pts, d, validate=True)
+    return current_space(True)
 
 
 # -- embedding searches ------------------------------------------------------
 
 
+def _int_rows(space: FiniteMetricSpace, den: int) -> list[list[int]]:
+    """Rows of the space's integer image, rescaled to ``den`` (a multiple
+    of the space's own denominator)."""
+    n, f = len(space.points), den // space._den
+    flat = space._flat if f == 1 else [v * f for v in space._flat]
+    return [flat[i * n : i * n + n] for i in range(n)]
+
+
 def _embed(
-    dist: list[list[Fraction]],
-    target: Sequence[Sequence[Fraction]],
+    dist: list[list[int]],
+    target: Sequence[Sequence[int]],
     cands: Sequence[int],
     budget: list[int] | None,
     what: str,
@@ -408,7 +421,7 @@ def _embed(
     """The search core: the first injection, in candidate-list order, of
     the ``target`` matrix into the point indices ``cands`` of ``dist``
     that keeps every distance exactly, as indices aligned with the
-    target, or None.
+    target, or None.  Both matrices are ints over one denominator.
 
     ``budget`` is a one-element counter (None: unlimited).  With
     ``increasing``, candidates listed before the last choice are skipped
@@ -420,6 +433,8 @@ def _embed(
     def rec(pos: int, start: int) -> bool:
         if pos == len(target):
             return True
+        # (chosen point, distance a candidate must have to it)
+        need = [(chosen[t], target[t][pos]) for t in range(pos)]
         for at, cand in enumerate(cands[start:], start):
             if cand in chosen:
                 continue
@@ -430,7 +445,10 @@ def _embed(
             if accept is not None and not accept(chosen, cand):
                 continue
             row = dist[cand]
-            if all(row[chosen[t]] == target[t][pos] for t in range(pos)):
+            for c, v in need:
+                if row[c] != v:
+                    break
+            else:
                 chosen.append(cand)
                 if rec(pos + 1, at + 1 if increasing else 0):
                     return True
@@ -452,9 +470,9 @@ def find_isometric_copy(
     names = space.points if candidates is None else candidates
     cands = [space.index(p) for p in names]
     counter = None if budget is None else [budget]
-    hit = _embed(
-        space.matrix(), target.matrix(), cands, counter, "embedding search"
-    )
+    den = lcm(space._den, target._den)
+    dist, tgt = _int_rows(space, den), _int_rows(target, den)
+    hit = _embed(dist, tgt, cands, counter, "embedding search")
     if hit is None:
         return None
     return {t: space.points[i] for t, i in zip(target.points, hit)}
@@ -474,9 +492,11 @@ def check_universality(
         raise ParameterError("the value set must be finite")
     if n < 1:
         raise ParameterError("n must be at least 1")
-    positive = [v for v in values.points() if v > 0]
+    vden, points, _ = values.scaled()
+    den = lcm(space._den, vden)
+    positive = [v * (den // vden) for v in points if v > 0]
     counter = [budget]
-    dist = space.matrix()
+    dist = _int_rows(space, den)
     cands = list(range(len(space.points)))
 
     for k in range(1, n + 1):
@@ -497,7 +517,7 @@ def check_universality(
             seen.add(canon)
             if _embed(dist, matrix, cands, counter, "embedding search") is None:
                 witness = {
-                    f"d({i},{j})": matrix[i][j]
+                    f"d({i},{j})": Fraction(matrix[i][j], den)
                     for i in range(k)
                     for j in range(i + 1, k)
                 }
@@ -510,11 +530,11 @@ def check_universality(
     return CheckReport(check="universality", verdict=VERDICT_EXHAUSTIVE)
 
 
-def _enumerate_matrices(k: int, positive: Sequence[Fraction], counter):
+def _enumerate_matrices(k: int, positive: Sequence[int], counter):
     """All k-point distance matrices with entries from ``positive`` that
     satisfy the triangle inequality, by backtracking over pairs."""
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    matrix = [[ZERO] * k for _ in range(k)]
+    matrix = [[0] * k for _ in range(k)]
     done: set[tuple[int, int]] = set()
 
     def rec(pos: int):
@@ -546,17 +566,18 @@ def _enumerate_matrices(k: int, positive: Sequence[Fraction], counter):
     yield from rec(0)
 
 
-def _canonical_form(k: int, matrix) -> tuple:
-    best = None
+def _canonical_form(k: int, matrix, vals=()) -> tuple:
+    """Isometry-class key of k points: the least flattened upper triangle
+    of ``matrix`` over all orderings of the points, followed by ``vals``
+    (one value per point, when given) in the same ordering."""
+    upper = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    forms = []
     for perm in itertools.permutations(range(k)):
-        flat = tuple(
-            matrix[perm[i]][perm[j]]
-            for i in range(k)
-            for j in range(i + 1, k)
-        )
-        if best is None or flat < best:
-            best = flat
-    return best
+        form = [matrix[perm[i]][perm[j]] for i, j in upper]
+        if vals:
+            form += [vals[i] for i in perm]
+        forms.append(form)
+    return tuple(min(forms))
 
 
 def check_extension_property(
@@ -572,6 +593,7 @@ def check_extension_property(
         raise ParameterError("k must be at least 1")
     pts = space.points
     n = len(pts)
+    dist = _int_rows(space, space._den)
     counter = [budget]
     stuck: list[tuple] = []
 
@@ -580,8 +602,7 @@ def check_extension_property(
             if y in img:
                 continue
             if all(
-                space.dist_by_index(y, img[t]) == space.dist_by_index(x, dom[t])
-                for t in range(len(dom))
+                dist[y][img[t]] == dist[x][dom[t]] for t in range(len(dom))
             ):
                 return True
         return False
@@ -605,9 +626,7 @@ def check_extension_property(
                 if b in img:
                     continue
                 if any(
-                    space.dist_by_index(a, dom[t])
-                    != space.dist_by_index(b, img[t])
-                    for t in range(len(dom))
+                    dist[a][dom[t]] != dist[b][img[t]] for t in range(len(dom))
                 ):
                     continue
                 dom.append(a)
@@ -650,7 +669,7 @@ def find_order_embedding(
     want = len(space.points) if length is None else length
     if want < 0 or want > len(space.points):
         raise ParameterError("length must be between 0 and the point count")
-    dist = space.matrix()
+    dist = _int_rows(space, space._den)
     hit = _embed(
         dist, dist[:want], targets, [budget], "order-embedding", increasing=True
     )
@@ -707,8 +726,8 @@ def indivisibility_search(
             "target realizes distances the space does not"
         )
     counter = [budget]
-    dist = space.matrix()
-    tgt = target.matrix()
+    den = lcm(space._den, target._den)
+    dist, tgt = _int_rows(space, den), _int_rows(target, den)
     for colour in coloring.classes():
         inside = coloring.class_points(colour)
         if e == 0:
@@ -743,14 +762,18 @@ def oscillation_search(
     values = {str(p): as_rational(v) for p, v in func.items()}
     if set(values) != set(space.points):
         raise ParameterError("the function must be total on the points")
-    fv = [values[p] for p in space.points]
+    # the values and eps as ints over their own common denominator
+    fden = lcm_denominator([e, *values.values()])
+    fv = [int(values[p] * fden) for p in space.points]
+    bound = int(e * fden)
+    den = lcm(space._den, target._den)
     hit = _embed(
-        space.matrix(),
-        target.matrix(),
+        _int_rows(space, den),
+        _int_rows(target, den),
         list(range(len(space.points))),
         [budget],
         "oscillation search",
-        lambda chosen, c: all(abs(fv[c] - fv[x]) < e for x in chosen),
+        lambda chosen, c: all(abs(fv[c] - fv[x]) < bound for x in chosen),
     )
     if hit is None:
         return None

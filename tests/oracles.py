@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's search/closure algorithms: the
 truncated sum is a max-scan over an explicit point list, distances are
-exhaustive trail enumeration, the four-values oracle quantifies over
-ordered quadruples straight from the definition, and embeddings are
-found by scanning every injection in ``itertools`` order.
+exhaustive trail enumeration, a closure round truncates the sum of every
+ordered pair, the four-values oracle quantifies over ordered quadruples
+straight from the definition, and embeddings are found by scanning every
+injection in ``itertools`` order.
 """
 
 import itertools
@@ -37,6 +38,25 @@ def assoc_holds(points):
 
 def _metric(a, b, c):
     return a <= b + c and b <= a + c and c <= a + b
+
+
+def closure_step(points, los, his):
+    """One closure round from the definition: the union of ``points`` with
+    the truncated sum of every ordered pair, each sum truncated by a scan
+    over the closed intervals ``[los[t], his[t]]``."""
+
+    def sup_le(s):
+        best = None
+        for lo, hi in zip(los, his):
+            if lo <= s:
+                best = min(hi, s)
+        return best
+
+    out = set(points)
+    for a in points:
+        for b in points:
+            out.add(sup_le(a + b))
+    return sorted(out)
 
 
 def four_values_holds(points):

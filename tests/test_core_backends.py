@@ -8,6 +8,8 @@ import pytest
 from distset import _core
 from distset._core import ops_py
 
+import oracles
+
 ops_cy = _core.ops_cy
 
 skip_no_ext = pytest.mark.skipif(
@@ -150,3 +152,39 @@ def test_dispatcher_falls_back_on_huge_ints():
     # must route to the Python backend and still be exact
     assert _core.closure_step([huge], los, his) == [huge]
     assert _core.scan_four_values([0, huge]) is None
+
+
+def test_closure_step_matches_oracle():
+    # pure-Python kernel against the double loop, extension or not; the
+    # inputs reach every case of the cut at max R
+    rng = random.Random(8)
+    seen = set()
+    for case in range(600):
+        los, his = random_set_arrays(rng, max_points=6, top=120)
+        top = his[-1]
+        members = sorted(
+            {rng.randint(lo, hi) for lo, hi in zip(los, his) for _ in "abc"}
+        )
+        if case % 10 == 0:
+            pts = [rng.choice(members)]
+        else:
+            k = min(len(members), rng.randint(1, 12))
+            pts = rng.sample(members, k)
+            pts.sort()
+        for a in pts:
+            for b in pts:
+                s = a + b
+                if s > top:
+                    seen.add("above")
+                elif s == top:
+                    seen.add("at")
+                elif ops_py.sup_le(los, his, s) != s:
+                    seen.add("gap")
+                else:
+                    seen.add("below")
+        seen.add("finite" if los == his else "union")
+        seen.add(len(pts) == 1)
+        assert ops_py.closure_step(pts, los, his) == oracles.closure_step(
+            pts, los, his
+        ), (pts, los, his)
+    assert seen == {"above", "at", "gap", "below", "finite", "union", True, False}

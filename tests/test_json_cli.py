@@ -273,10 +273,10 @@ class TestCliContract:
             tmp_path, "g.json",
             {"set": grid, "vertices": ["a", "b"], "edges": [["a", "b", "1"]]},
         )
-        space = write_json(
-            tmp_path, "m.json",
-            {"set": grid, "points": ["p", "q"], "dist": [["0", "1"], ["1", "0"]]},
-        )
+        space_obj = {
+            "set": grid, "points": ["p", "q"], "dist": [["0", "1"], ["1", "0"]]
+        }
+        space = write_json(tmp_path, "m.json", space_obj)
         malformed = [
             ("graph", "shortcut", "--graph", graph, "--a", "zz", "--b", "a"),
             ("set", "check", "--input",
@@ -291,6 +291,22 @@ class TestCliContract:
             ("space", "color", "--space", space, "--target", space,
              "--coloring",
              write_json(tmp_path, "c.json", {"parts": {"p": "red", "q": 0}})),
+            ("space", "color", "--space", space, "--target", space,
+             "--coloring", write_json(tmp_path, "cl.json", [["p", 0]])),
+            ("space", "oscillate", "--space", space, "--target", space,
+             "--eps", "1", "--f", write_json(tmp_path, "f.json", {"values": 5})),
+            ("construct", "companion", "--input", write_json(
+                tmp_path, "b.json",
+                {"set": grid, "U": space_obj, "I": [0], "r": "1"},
+            )),
+            ("construct", "companion", "--input", write_json(
+                tmp_path, "br.json",
+                {"set": grid, "U": space_obj, "V": space_obj, "I": [0]},
+            )),
+            ("graph", "check", "--graph", write_json(
+                tmp_path, "e5.json",
+                {"set": grid, "vertices": ["a", "b"], "edges": 5},
+            )),
         ]
         for argv in malformed:
             code, out, err = run_cli(capsys, *argv)

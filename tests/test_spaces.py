@@ -7,6 +7,7 @@ import pytest
 from distset import (
     BudgetError,
     CheckFailedError,
+    VERDICT_FAILED,
     Coloring,
     FiniteMetricSpace,
     PartitionError,
@@ -40,6 +41,14 @@ def all_ones(n, ground=S012):
 def path_112():
     return FiniteMetricSpace(
         S012, ["a", "m", "b"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    )
+
+
+def quarter_path():
+    # a space whose integer image is in quarters
+    q = F(1, 4)
+    return FiniteMetricSpace(
+        RSet([(0, 1)]), ["x", "y", "z"], [[0, q, 2 * q], [q, 0, q], [2 * q, q, 0]]
     )
 
 
@@ -109,6 +118,15 @@ class TestSaturation:
         b = build_saturated_space(S012, max_points=12, seed=7)
         assert a.to_json_obj() == b.to_json_obj()
 
+    def test_result_passes_validation(self):
+        # mixed denominators; the space comes from the builder's own ints
+        values = RSet([0, F(1, 3), F(1, 2), F(5, 6), 1])
+        m = build_saturated_space(values, max_points=30, seed=2)
+        m.validate()
+        again = FiniteMetricSpace(values, m.points, m.matrix())
+        assert (again._den, again._flat) == (m._den, m._flat)
+        assert find_unrealized_katetov(m, values, 2) is None
+
     def test_saturation_soundness(self):
         # saturated at arity m implies universal at m+1
         m = build_saturated_space(S012, max_points=40, witness_arity=1, seed=3)
@@ -124,6 +142,18 @@ class TestUniversality:
         rep = check_universality(all_ones(5), S012, 2)
         assert not rep.passed
         assert rep.witness == {"d(0,1)": F(2)}
+
+    def test_foreign_denominators(self):
+        # sevenths against a space in quarters: the values are scaled to
+        # the lcm, 2/7 sorts between 1/4 and 1/2 and has no copy
+        m = quarter_path()
+        rep = check_universality(m, RSet([0, F(1, 4), F(2, 7), F(1, 2)]), 3)
+        assert rep.verdict == VERDICT_FAILED
+        assert rep.witness == {"d(0,1)": F(2, 7)}
+        rep = check_universality(m, RSet([0, F(1, 4), F(1, 2)]), 3)
+        q = F(1, 4)
+        assert rep.witness == {"d(0,1)": q, "d(0,2)": q, "d(1,2)": q}
+        assert check_universality(m, RSet([0, F(1, 4), F(1, 2)]), 2).passed
 
     def test_triangle_count_oracle(self):
         # the canonical enumeration must see every metric multiset
@@ -357,6 +387,19 @@ class TestIsometricCopy:
         hit = find_isometric_copy(m, target, candidates=["q2", "q3"])
         assert hit is not None
         assert set(hit.values()) == {"q2", "q3"}
+
+    def test_foreign_denominators(self):
+        m = quarter_path()
+        sevenths = FiniteMetricSpace(
+            RSet([(0, 1)]), ["a", "b"], [[0, F(2, 7)], [F(2, 7), 0]]
+        )
+        assert find_isometric_copy(m, sevenths) is None
+        # in sixths through its ground set: the common denominator is 12
+        twelfths = FiniteMetricSpace(
+            RSet([(0, 1), F(4, 3)]), ["a", "b"], [[0, F(1, 2)], [F(1, 2), 0]]
+        )
+        assert twelfths._den == 6
+        assert find_isometric_copy(m, twelfths) == {"a": "x", "b": "z"}
 
     def test_absent_copy(self):
         m = all_ones(3)
