@@ -6,8 +6,8 @@ Cython backend is preferred when it imported successfully and every input
 fits comfortably in int64; otherwise the pure-Python backend (arbitrary
 precision) handles the call.  Both backends return the same results bit
 for bit, so they are interchangeable; their loops need not visit the
-inputs in the same order (the Python closure round skips the sums that
-can only truncate to max R).
+same inputs: the Python closure round skips the sums that can only
+truncate to max R, and its two scans skip the multisets that cannot fail.
 
 Set ``DISTSET_PURE_PYTHON=1`` to force the Python backend.
 """

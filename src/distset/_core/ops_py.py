@@ -7,8 +7,8 @@ endpoint or an exact sum, the common denominator is stable under every
 operation here, so integer arithmetic stays exact.
 
 The compiled backend in ``_ops_cy.pyx`` implements the same functions.
-Their results must be bit-identical; their loops need not run in the
-same order.
+Their results must be bit-identical; their loops need not visit the
+same inputs.
 
 Set representation: two parallel sorted lists ``los``/``his`` of closed
 interval endpoints, pairwise disjoint and ascending.  Finite point sets
@@ -41,10 +41,12 @@ def scan_assoc(los, his, cands):
     """First multiset {x <= y <= z} of candidates on which the truncated
     sum is not associative, as ascending indices, or None.
 
-    For a commutative operation, associativity over all ordered triples
-    is equivalent to the three grouped products of every value multiset
-    agreeing, so scanning multisets is exhaustive.
+    The sum commutes, so it is associative iff the three groupings of
+    every value multiset agree.  ``cands`` ascends, and each grouping
+    rises with z to at most max R, so the k loop stops once all three
+    reach max R.
     """
+    top = his[-1]
     n = len(cands)
     for i in range(n):
         x = cands[i]
@@ -60,6 +62,8 @@ def scan_assoc(los, his, cands):
                 p2 = sup_le(los, his, sup_le(los, his, x + z) + y)
                 if p1 != p2:
                     return (i, j, k)
+                if p1 == top:
+                    break
     return None
 
 
@@ -81,12 +85,12 @@ def check_triples(los, his, triples):
 def scan_four_values(points):
     """First four-values violation over a finite point set, or None.
 
-    Scans value multisets {e1 <= e2 <= e3 <= a}: the quadruple is
-    admissible when a <= e1 + e2 + e3, and the condition holds for every
-    arrangement iff the three pairings {a,e}|{rest} admit a linking
-    element either all together or not at all.  A linking element for the
-    pairing {p,q}|{s,t} exists iff the set meets the closed window
-    [max(|p-q|, |s-t|), min(p+q, s+t)].
+    Scans value multisets {e1 <= e2 <= e3 <= a}: the condition holds for
+    every arrangement iff the three pairings {a,e}|{rest} admit a linking
+    element all or none, and {p,q}|{s,t} has one iff the set meets the
+    window [max(|p-q|, |s-t|), min(p+q, s+t)].  For ascending ``points``
+    >= 0, a runs over (e2 + e3, e1 + e2 + e3]: above, the quadruple is not
+    admissible; at or below e2 + e3, the windows hold a, e3 and e2.
 
     Returns ascending indices (i, j, k, l) of the offending multiset
     (``points[l]`` is the maximal entry).
@@ -98,7 +102,7 @@ def scan_four_values(points):
             e2 = points[j]
             for k in range(j, n):
                 e3 = points[k]
-                for l in range(k, n):
+                for l in range(bisect_right(points, e2 + e3, k), n):
                     a = points[l]
                     if a > e1 + e2 + e3:
                         break  # points ascending: larger l only worse

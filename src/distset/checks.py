@@ -28,7 +28,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil, floor
 
 from . import _core
 from .errors import ParameterError
@@ -151,8 +150,8 @@ def random_member(rset: RSet, rng: random.Random) -> Fraction:
         return lo
     q = rng.randint(1, MAX_SAMPLE_DEN)
     while True:
-        pmin = ceil(lo * q)
-        pmax = floor(hi * q)
+        pmin = -(-lo.numerator * q // lo.denominator)
+        pmax = hi.numerator * q // hi.denominator
         if pmin <= pmax:
             return Fraction(rng.randint(pmin, pmax), q)
         q *= 2
@@ -168,6 +167,8 @@ def check_associativity(
     then over ``sample_budget`` seeded random member triples; passing
     that way is reported as PassedHeuristic with the sample count.
     """
+    if sample_budget < 0:
+        raise ParameterError("sample budget must be non-negative")
     den, los, his = rset.scaled()
     finite = rset.is_finite()
     if finite:
@@ -180,8 +181,6 @@ def check_associativity(
     if finite:
         return CheckReport(check="associativity", verdict=VERDICT_EXHAUSTIVE)
 
-    if sample_budget < 0:
-        raise ParameterError("sample budget must be non-negative")
     rng = random.Random(seed)
     samples = [
         random_member(rset, rng) for _ in range(3 * sample_budget)
@@ -223,6 +222,8 @@ def check_4values(
     that empty window.  Interval unions: decided via the associativity
     check (the two conditions agree on closed sets) and relabelled.
     """
+    if sample_budget < 0:
+        raise ParameterError("sample budget must be non-negative")
     if not rset.is_finite():
         rep = check_associativity(rset, sample_budget=sample_budget, seed=seed)
         return replace(

@@ -5,11 +5,13 @@ truncated sum is a max-scan over an explicit point list, distances are
 exhaustive trail enumeration, a closure round truncates the sum of every
 ordered pair, the four-values oracle quantifies over ordered quadruples
 straight from the definition, and embeddings are found by scanning every
-injection in ``itertools`` order.
+injection in ``itertools`` order.  The multiset scans visit every
+multiset, with no cut, and random members are rounded on Fractions.
 """
 
 import itertools
 from fractions import Fraction
+from math import ceil, floor
 
 
 def oplus_points(points, a, b):
@@ -40,23 +42,84 @@ def _metric(a, b, c):
     return a <= b + c and b <= a + c and c <= a + b
 
 
+def sup_le_scan(los, his, s):
+    """Truncated sum by a scan over the closed intervals
+    ``[los[t], his[t]]``: the largest member <= s, or None."""
+    best = None
+    for lo, hi in zip(los, his):
+        if lo <= s:
+            best = min(hi, s)
+    return best
+
+
 def closure_step(points, los, his):
     """One closure round from the definition: the union of ``points`` with
-    the truncated sum of every ordered pair, each sum truncated by a scan
-    over the closed intervals ``[los[t], his[t]]``."""
-
-    def sup_le(s):
-        best = None
-        for lo, hi in zip(los, his):
-            if lo <= s:
-                best = min(hi, s)
-        return best
-
+    the truncated sum of every ordered pair, each sum truncated by
+    ``sup_le_scan``."""
     out = set(points)
     for a in points:
         for b in points:
-            out.add(sup_le(a + b))
+            out.add(sup_le_scan(los, his, a + b))
     return sorted(out)
+
+
+def groupings(los, his, x, y, z):
+    """The three grouped truncated sums (x+y)+z, (x+z)+y and (y+z)+x."""
+    return tuple(
+        sup_le_scan(los, his, sup_le_scan(los, his, p + q) + r)
+        for p, q, r in ((x, y, z), (x, z, y), (y, z, x))
+    )
+
+
+def first_assoc_multiset(los, his, cands):
+    """First multiset (i <= j <= k) of the ascending ``cands`` whose three
+    groupings differ, visiting every multiset; or None."""
+    n = len(cands)
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                p1, p2, p3 = groupings(los, his, cands[i], cands[j], cands[k])
+                if not p1 == p2 == p3:
+                    return (i, j, k)
+    return None
+
+
+def first_four_values_multiset(points):
+    """First admissible multiset (i <= j <= k <= l) of the ascending
+    ``points`` whose three pairings {a,e}|{rest} disagree on whether a
+    linking element exists, visiting every multiset; or None."""
+    n = len(points)
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                for l in range(k, n):
+                    e1, e2, e3, a = (points[t] for t in (i, j, k, l))
+                    if a > e1 + e2 + e3:
+                        break
+                    links = set()
+                    for e, s, u in ((e1, e2, e3), (e2, e1, e3), (e3, e1, e2)):
+                        lo, hi = max(a - e, abs(s - u)), min(a + e, s + u)
+                        links.add(any(lo <= p <= hi for p in points))
+                    if len(links) > 1:
+                        return (i, j, k, l)
+    return None
+
+
+def random_member(rset, rng):
+    """``checks.random_member`` with its rounding done by ``ceil`` and
+    ``floor`` on Fractions: the same rng calls in the same order."""
+    from distset.checks import MAX_SAMPLE_DEN
+
+    lo, hi = rset.intervals[rng.randrange(len(rset.intervals))]
+    if lo == hi:
+        return lo
+    q = rng.randint(1, MAX_SAMPLE_DEN)
+    while True:
+        pmin = ceil(lo * q)
+        pmax = floor(hi * q)
+        if pmin <= pmax:
+            return Fraction(rng.randint(pmin, pmax), q)
+        q *= 2
 
 
 def four_values_holds(points):

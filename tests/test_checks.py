@@ -16,8 +16,10 @@ from distset import (
     check_associativity,
     recheck_witness,
 )
+from distset.checks import MAX_SAMPLE_DEN, random_member
 from conftest import random_finite_set
 from oracles import assoc_holds, four_values_holds
+from oracles import random_member as fraction_random_member
 
 MID2 = cantor_set([F(1, 3), F(1, 3)])
 
@@ -225,6 +227,41 @@ class TestQuadruple:
         q = Quadruple(a=F(5), b=F(3), c=F(1), d=F(1))
         assert q.linking_window() == (F(2), F(2))
         assert q.linking_window(swap=True) == (F(4), F(4))
+
+
+def test_random_member_matches_fraction_rounding():
+    # integer rounding against ceil/floor on Fractions: equal draws and
+    # equal rng states, over unions with one-point intervals, non-integer
+    # endpoints and intervals narrow enough that q must double
+    rng = random.Random(12)
+    seen = set()
+    for case in range(200):
+        intervals = []
+        cur = F(rng.randint(0, 5), rng.choice([1, 3, 7]))
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.random()
+            if kind < 0.25:
+                hi = cur
+            elif kind < 0.5:
+                hi = cur + F(1, rng.randint(200, 5000))
+            else:
+                hi = cur + F(rng.randint(1, 20), rng.choice([1, 3, 8]))
+            intervals.append((cur, hi))
+            cur = hi + F(rng.randint(1, 30), rng.choice([1, 2, 10, 1000]))
+        rset = RSet(intervals)
+        seed = rng.randrange(2**32)
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(30):
+            x = random_member(rset, ours)
+            assert x == fraction_random_member(rset, ref), (intervals, seed)
+            if x.denominator > MAX_SAMPLE_DEN:
+                seen.add("doubled")
+        assert ours.getstate() == ref.getstate()
+        for lo, hi in rset.intervals:
+            seen.add("point" if lo == hi else "interval")
+            if lo.denominator > 1 or hi.denominator > 1:
+                seen.add("non-integer")
+    assert seen == {"doubled", "point", "interval", "non-integer"}
 
 
 def test_report_json_shape():

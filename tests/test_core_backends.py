@@ -1,7 +1,9 @@
 """The compiled kernels must agree with the pure-Python twins bit for bit."""
 
+import itertools
 import os
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -188,3 +190,81 @@ def test_closure_step_matches_oracle():
             pts, los, his
         ), (pts, los, his)
     assert seen == {"above", "at", "gap", "below", "finite", "union", True, False}
+
+
+def test_scan_assoc_matches_oracle():
+    # pure-Python scan against the uncut multiset loop, extension or not;
+    # the inputs reach the cut at max R, a hit that only the (x+z)+y
+    # grouping exposes while the other two sit at max R, and passes
+    rng = random.Random(9)
+    seen = set()
+    for case in range(300):
+        aim = case % 2 == 0
+        if not aim:
+            los, his = random_set_arrays(rng, max_points=6, top=120)
+        else:  # short intervals and short gaps
+            los, his, cur = [], [], 0
+            for _ in range(rng.randint(1, 5)):
+                los.append(cur + rng.randint(0, 6))
+                his.append(los[-1] + rng.randint(0, 4))
+                cur = his[-1] + 1
+        top = his[-1]
+        members = {rng.randint(lo, hi) for lo, hi in zip(los, his) for _ in "abc"}
+        members = sorted(members | {top})
+        cands = sorted(rng.sample(members, min(len(members), rng.randint(1, 8))))
+        if aim:  # look for a first hit that only (x+z)+y exposes
+            every = [v for lo, hi in zip(los, his) for v in range(lo, hi + 1)]
+            for m in itertools.combinations_with_replacement(every, 3):
+                p1, p2, p3 = oracles.groupings(los, his, *m)
+                if not p1 == p3 == top != p2:
+                    continue
+                vals = sorted(set(m))
+                h = oracles.first_assoc_multiset(los, his, vals)
+                p1, p2, p3 = oracles.groupings(los, his, *(vals[t] for t in h))
+                if p1 == p3 == top != p2:
+                    cands = vals
+                    break
+        hit = oracles.first_assoc_multiset(los, his, cands)
+        assert ops_py.scan_assoc(los, his, cands) == hit, (los, his, cands)
+        seen.add("finite" if los == his else "union")
+        if hit is None:
+            seen.add("pass")
+        else:
+            p1, p2, p3 = oracles.groupings(los, his, *(cands[t] for t in hit))
+            seen.add("hit at max R" if p1 == p3 == top else "hit")
+        n = len(cands)
+        for ijk in itertools.combinations_with_replacement(range(n), 3):
+            if hit is not None and ijk >= hit:
+                break
+            triple = (cands[t] for t in ijk)
+            if ijk[2] < n - 1 and oracles.groupings(los, his, *triple) == (
+                (top,) * 3
+            ):
+                seen.add("cut")
+                break
+    assert seen == {"finite", "union", "pass", "hit", "hit at max R", "cut"}
+
+
+def test_scan_four_values_matches_oracle():
+    # pure-Python scan against the uncut multiset loop, extension or not;
+    # the inputs reach values of a in (e2 + e3, e1 + e2 + e3], hits whose
+    # a is the first point above e2 + e3, and passes
+    rng = random.Random(10)
+    seen = set()
+    for case in range(600):
+        pts = sorted(rng.sample(range(0, 40), rng.randint(1, 8)))
+        hit = oracles.first_four_values_multiset(pts)
+        assert ops_py.scan_four_values(pts) == hit, pts
+        if hit is None:
+            seen.add("pass")
+        else:
+            i, j, k, l = hit
+            first = bisect_right(pts, pts[j] + pts[k], k)
+            seen.add("hit at cut" if l == first else "hit")
+        for i, j, k in itertools.combinations_with_replacement(
+            range(len(pts)), 3
+        ):
+            e1, e2, e3 = pts[i], pts[j], pts[k]
+            if any(e2 + e3 < a <= e1 + e2 + e3 for a in pts[k:]):
+                seen.add("cut")
+    assert seen == {"pass", "hit", "hit at cut", "cut"}

@@ -281,6 +281,8 @@ class TestCliContract:
             ("graph", "shortcut", "--graph", graph, "--a", "zz", "--b", "a"),
             ("set", "check", "--input",
              write_json(tmp_path, "s.json", {"intervals": [1, 2]})),
+            ("set", "check", "--samples", "-1", "--input",
+             write_json(tmp_path, "fin.json", grid)),
             ("graph", "check", "--graph", write_json(
                 tmp_path, "e.json",
                 {"set": grid, "vertices": ["a", "b"], "edges": [["a", "b"]]},
