@@ -7,7 +7,8 @@ fits comfortably in int64; otherwise the pure-Python backend (arbitrary
 precision) handles the call.  Both backends return the same results bit
 for bit, so they are interchangeable; their loops need not visit the
 same inputs: the Python closure round skips the sums that can only
-truncate to max R, and its two scans skip the multisets that cannot fail.
+truncate to max R, its two scans skip the multisets that cannot fail,
+and its completion and metric check run a row at a time.
 
 Set ``DISTSET_PURE_PYTHON=1`` to force the Python backend.
 """

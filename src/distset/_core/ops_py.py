@@ -16,6 +16,7 @@ are the degenerate case ``los == his``.
 """
 
 from bisect import bisect_left, bisect_right
+from operator import sub
 
 BACKEND = "python"
 
@@ -159,35 +160,41 @@ def closure_step(points, los, his):
 def all_pairs_completion(n, d, los, his):
     """All-pairs walk-infimum closure of a weight matrix, in place.
 
-    ``d`` is a flat n*n list with -1 marking absent edges and 0 on the
-    diagonal.  Aggregation along a walk is the truncated sum; selection
-    across walks is min.  The truncated sum distributes over min and
-    never decreases when extended, so the standard triple loop computes
-    the infimum over all walks.
+    ``d`` is a flat n*n list with -1 marking absent edges, 0 on the
+    diagonal and set members elsewhere.  Aggregation along a walk is the
+    truncated sum; selection across walks is min.  The truncated sum
+    distributes over min and never decreases when extended, so the
+    standard triple loop computes the infimum over all walks.
+
+    It runs a row at a time on the sentinel ``2 * max R + 1`` for absent
+    edges, above every sum of two members.  Entries are members and
+    ``sup_le(s) <= s`` is monotone, so ``sup_le(s) < cur`` iff ``s < cur``:
+    only those cells are truncated.  Row k is fixed in round k (d_kk = 0).
     """
-    for k in range(n):
-        kn = k * n
-        for i in range(n):
-            dik = d[i * n + k]
-            if dik < 0:
+    absent = 2 * his[-1] + 1
+    flat = [absent if v < 0 else v for v in d]
+    rows = [flat[i * n : i * n + n] for i in range(n)]
+    cols = range(n)
+    for k, row_k in enumerate(rows):
+        for row_i in rows:
+            dik = row_i[k]
+            if dik == absent:
                 continue
-            base = i * n
-            for j in range(n):
-                dkj = d[kn + j]
-                if dkj < 0:
-                    continue
-                cand = sup_le(los, his, dik + dkj)
-                cur = d[base + j]
-                if cur < 0 or cand < cur:
-                    d[base + j] = cand
+            for j in [j for j, v, c in zip(cols, row_k, row_i) if dik + v < c]:
+                row_i[j] = sup_le(los, his, dik + row_k[j])
+    d[:] = [-1 if v == absent else v for row in rows for v in row]
     return d
 
 
 def validate_metric(n, d):
     """First metric-axiom violation in a flat n*n matrix, or None.
 
-    Returns ("diag", i, i), ("sym", i, j), ("pos", i, j) or
-    ("tri", i, j, k) for d[i][j] > d[i][k] + d[k][j].
+    Returns ("diag", i, i), ("sym", i, j), ("pos", i, j) or the first
+    ("tri", i, j, k) in (i, j, k) order with d[i][j] > d[i][k] + d[k][j].
+    Once the first three passes hold, row i violates through k exactly
+    when ``max_j(d_ij - d_kj) > d_ik``, and row k through i when that min
+    is below ``-d_ik`` (j = i, j = k and k = i cannot fire), so each pair
+    of rows is compared once and the first row that fires is scanned.
     """
     for i in range(n):
         if d[i * n + i] != 0:
@@ -198,14 +205,16 @@ def validate_metric(n, d):
                 return ("sym", i, j)
             if d[i * n + j] <= 0:
                 return ("pos", i, j)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            dij = d[i * n + j]
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if dij > d[i * n + k] + d[k * n + j]:
-                    return ("tri", i, j, k)
+    rows = [d[i * n : i * n + n] for i in range(n)]
+    fires = [False] * n
+    for i, row_i in enumerate(rows):
+        for k in range(i + 1, n):
+            diffs = list(map(sub, row_i, rows[k]))
+            fires[i] |= max(diffs) > row_i[k]
+            fires[k] |= min(diffs) < -row_i[k]
+        if fires[i]:
+            for j, dij in enumerate(row_i):
+                for k, (row_k, dik) in enumerate(zip(rows, row_i)):
+                    if dij > dik + row_k[j]:
+                        return ("tri", i, j, k)
     return None

@@ -6,7 +6,9 @@ exhaustive trail enumeration, a closure round truncates the sum of every
 ordered pair, the four-values oracle quantifies over ordered quadruples
 straight from the definition, and embeddings are found by scanning every
 injection in ``itertools`` order.  The multiset scans visit every
-multiset, with no cut, and random members are rounded on Fractions.
+multiset, with no cut, and random members are rounded on Fractions.  The
+completion and the metric check on flat matrices are cell-at-a-time
+triple loops.
 """
 
 import itertools
@@ -102,6 +104,50 @@ def first_four_values_multiset(points):
                         links.add(any(lo <= p <= hi for p in points))
                     if len(links) > 1:
                         return (i, j, k, l)
+    return None
+
+
+def all_pairs_completion(n, d, los, his):
+    """The in-place (min, truncated sum) triple loop over a flat n*n
+    matrix with -1 for absent edges, one cell at a time."""
+    for k in range(n):
+        for i in range(n):
+            dik = d[i * n + k]
+            if dik < 0:
+                continue
+            for j in range(n):
+                dkj = d[k * n + j]
+                if dkj < 0:
+                    continue
+                cand = sup_le_scan(los, his, dik + dkj)
+                cur = d[i * n + j]
+                if cur < 0 or cand < cur:
+                    d[i * n + j] = cand
+    return d
+
+
+def validate_metric(n, d):
+    """First ("diag", i, i), ("sym", i, j), ("pos", i, j) or
+    ("tri", i, j, k) violation of a flat n*n matrix, cell by cell in
+    that order; or None."""
+    for i in range(n):
+        if d[i * n + i] != 0:
+            return ("diag", i, i)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i * n + j] != d[j * n + i]:
+                return ("sym", i, j)
+            if d[i * n + j] <= 0:
+                return ("pos", i, j)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                if d[i * n + j] > d[i * n + k] + d[k * n + j]:
+                    return ("tri", i, j, k)
     return None
 
 

@@ -268,3 +268,90 @@ def test_scan_four_values_matches_oracle():
             if any(e2 + e3 < a <= e1 + e2 + e3 for a in pts[k:]):
                 seen.add("cut")
     assert seen == {"pass", "hit", "hit at cut", "cut"}
+
+
+def random_graph_matrix(rng, los, his, n, p):
+    """Flat n*n weight matrix with -1 for absent edges: each pair gets a
+    random positive member of the set with probability p."""
+    weights = [v for lo, hi in zip(los, his) for v in range(lo, hi + 1) if v > 0]
+    flat = [-1] * (n * n)
+    for i in range(n):
+        flat[i * n + i] = 0
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                flat[i * n + j] = flat[j * n + i] = rng.choice(weights)
+    return flat
+
+
+def test_all_pairs_completion_matches_oracle():
+    # row-wise kernel against the cell-at-a-time triple loop, extension
+    # or not; the inputs reach truncated walk sums, disconnected graphs
+    # that keep -1, and graphs whose every pair is an edge
+    rng = random.Random(11)
+    seen = set()
+    for case in range(400):
+        los, his = random_set_arrays(rng, max_points=6, top=60)
+        if los[0] > 0:  # ground sets carry 0; the kernel assumes it
+            los, his = [0] + los, [0] + his
+        if his[-1] == 0:
+            continue
+        n = rng.randint(1, 9)
+        flat = random_graph_matrix(rng, los, his, n, rng.choice((0.2, 0.5, 1.0)))
+        want = oracles.all_pairs_completion(n, list(flat), los, his)
+        given = list(flat)
+        got = ops_py.all_pairs_completion(n, given, los, his)
+        assert got is given and given == want, (n, flat, los, his)
+        untruncated = oracles.all_pairs_completion(n, list(flat), [0], [n * his[-1]])
+        seen.add("finite" if los == his else "union")
+        if want != untruncated:
+            seen.add("truncated" if los == his else "truncated in a gap")
+        if -1 in want:
+            seen.add("disconnected")
+        if -1 not in flat:
+            seen.add("complete graph")
+    assert seen == {
+        "finite", "union", "truncated", "truncated in a gap",
+        "disconnected", "complete graph",
+    }
+
+
+def test_validate_metric_matches_oracle():
+    # row-wise triangle check against the cell-at-a-time loop, extension
+    # or not; the inputs reach every violation kind, first triangle
+    # violations past row 0, and rows whose violations come in a
+    # different order when k runs outside j
+    rng = random.Random(12)
+    seen = set()
+    for case in range(1500):
+        n = rng.randint(1, 8)
+        m = [0] * (n * n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                m[i * n + j] = m[j * n + i] = rng.randint(1, 9)
+        if case % 3 == 0:  # a metric, then perhaps one or two new entries
+            oracles.all_pairs_completion(n, m, [0], [9])
+            if case % 2:
+                i, j = rng.randrange(n), rng.randrange(n)
+                m[i * n + j] = rng.randint(-1, 9)
+                if rng.random() < 0.5:
+                    m[j * n + i] = m[i * n + j]
+        hit = oracles.validate_metric(n, m)
+        assert ops_py.validate_metric(n, m) == hit, (n, m)
+        seen.add(None if hit is None else hit[0])
+        if hit is None or hit[0] != "tri":
+            continue
+        i = hit[1]
+        if i > 0:
+            seen.add("tri past row 0")
+        row = [
+            (j, k)
+            for j in range(n)
+            for k in range(n)
+            if m[i * n + j] > m[i * n + k] + m[k * n + j]
+        ]
+        if min(row) != min(row, key=lambda jk: jk[::-1]):
+            seen.add("order matters within the row")
+    assert seen == {
+        None, "diag", "sym", "pos", "tri", "tri past row 0",
+        "order matters within the row",
+    }

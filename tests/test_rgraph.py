@@ -452,6 +452,36 @@ class TestFiniteMetricSpace:
                 [[0, 1, 3], [1, 0, 1], [3, 1, 0]],
             )
 
+    def test_validation_names_first_violation(self):
+        # the message, and so the CLI's error output, names the first
+        # violation in (i, j, k) order; in the last space, row p holds
+        # none, and row q violates for s and for t, both through r
+        cases = [
+            (["a", "b", "c"], [[0, 1, 1], [1, 2, 1], [1, 1, 0]],
+             "nonzero diagonal at ('b', 'b')"),
+            (["a", "b", "c"], [[0, 1, 2], [1, 0, 1], [3, 1, 0]],
+             "asymmetric entries at ('a', 'c')"),
+            (["a", "b", "c"], [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+             "non-positive off-diagonal distance at ('a', 'c')"),
+            (["a", "b"], [[0, -1], [-1, 0]],
+             "non-positive off-diagonal distance at ('a', 'b')"),
+            (
+                ["p", "q", "r", "s", "t"],
+                [
+                    [0, 2, 2, 2, 2],
+                    [2, 0, 1, 3, 3],
+                    [2, 1, 0, 1, 1],
+                    [2, 3, 1, 0, 2],
+                    [2, 3, 1, 2, 0],
+                ],
+                "triangle inequality violated at ('q', 's', 'r')",
+            ),
+        ]
+        for points, dist, message in cases:
+            with pytest.raises(ParameterError) as info:
+                FiniteMetricSpace(R0123, points, dist)
+            assert str(info.value) == message
+
     def test_validation_catches_membership(self):
         with pytest.raises(MembershipError):
             FiniteMetricSpace(
