@@ -10,6 +10,12 @@ same inputs: the Python closure round skips the sums that can only
 truncate to max R, its two scans skip the multisets that cannot fail,
 and its completion and metric check run a row at a time.
 
+The subadditive closure in ``distset.approx`` calls
+``ops_py.closure_round`` directly on both backends: its semi-naive rounds
+sum only the pairs with a point the previous round added, and the
+compiled round has no cut at max R.  ``closure_step`` here serves the
+one-round candidate closure of the associativity check.
+
 Set ``DISTSET_PURE_PYTHON=1`` to force the Python backend.
 """
 

@@ -6,9 +6,10 @@ ints.  Because the truncated sum of two set members is either an interval
 endpoint or an exact sum, the common denominator is stable under every
 operation here, so integer arithmetic stays exact.
 
-The compiled backend in ``_ops_cy.pyx`` implements the same functions.
-Their results must be bit-identical; their loops need not visit the
-same inputs.
+The compiled backend in ``_ops_cy.pyx`` implements the same functions,
+except ``closure_round``, which ``distset.approx`` calls directly.  Their
+results must be bit-identical; their loops need not visit the same
+inputs.
 
 Set representation: two parallel sorted lists ``los``/``his`` of closed
 interval endpoints, pairwise disjoint and ascending.  Finite point sets
@@ -129,32 +130,49 @@ def scan_four_values(points):
     return None
 
 
-def closure_step(points, los, his):
-    """One closure round: the sorted union of ``points`` with all
-    pairwise truncated sums (taken in the ambient set ``los``/``his``).
+def closure_round(old, fresh, los, his):
+    """One semi-naive closure round: the sorted union of ``old``, ``fresh``
+    and the truncated sums p + q (taken in the ambient set ``los``/``his``)
+    for p in ``fresh`` and q in ``old``, or in ``fresh`` with q >= p.
 
-    ``points`` is ascending.  Every sum above max R truncates to max R, so
-    each ``p`` is summed only with the partners that keep the sum at or
-    below max R, max R is added once if any sum went past it, and each
-    distinct sum is truncated once.
+    ``old`` and ``fresh`` ascend.  When every sum of two points of ``old``
+    is already in ``old`` or ``fresh``, the result is one full round over
+    their union.  Every sum above max R truncates to max R, so each ``p``
+    is summed only with the partners that keep the sum at or below max R,
+    max R is added once if any sum went past it, and each distinct sum is
+    truncated once.
     """
     top = his[-1]
-    n = len(points)
+    n = len(fresh)
     sums = set()
     over = False
-    for i in range(n):
-        p = points[i]
-        k = bisect_right(points, top - p, i)
+    for i in range(n):  # fresh x fresh
+        p = fresh[i]
+        k = bisect_right(fresh, top - p, i)
         if k < n:
             over = True
             if k == i:
                 break  # every later p overshoots too
-        sums.update(map(p.__add__, points[i:k]))
-    out = set(points)
+        sums.update(map(p.__add__, fresh[i:k]))
+    m = len(old)
+    for p in fresh:  # fresh x old
+        k = bisect_right(old, top - p)
+        if k < m:
+            over = True
+        if k == 0:
+            break  # no partner for any later p either
+        sums.update(map(p.__add__, old[:k]))
+    out = {*old, *fresh}
     out.update(sup_le(los, his, s) for s in sums)
     if over:
         out.add(top)
     return sorted(out)
+
+
+def closure_step(points, los, his):
+    """One closure round: the sorted union of ``points`` with all
+    pairwise truncated sums (taken in the ambient set ``los``/``his``)."""
+    return closure_round([], points, los, his)
 
 
 def all_pairs_completion(n, d, los, his):

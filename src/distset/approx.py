@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from . import _core
+from ._core import ops_py
 from .errors import NonterminationError, ParameterError, SubsetError
 from .rationals import as_rational
 from .rset import RSet, scaled_with
@@ -26,20 +26,19 @@ from .rset import RSet, scaled_with
 class ClosureTrace:
     """Record of the closure iteration.
 
-    ``iterates[0]`` is the input set, ``iterates[-1]`` the fixpoint (one
-    more round would reproduce it).  ``minima[0]`` is the smallest
-    positive member of the input; ``minima[n]`` for n >= 1 is the
-    smallest element the n-th round added.  The minima are strictly
-    increasing.
+    ``minima[0]`` is the smallest positive member of the input;
+    ``minima[n]`` for n >= 1 is the smallest element the n-th round added.
+    The minima are strictly increasing.  ``fixpoint_index`` is the number
+    of rounds that grew the set (one more round reproduces the fixpoint),
+    and ``rounds`` is that same count.
     """
 
-    iterates: tuple[RSet, ...]
     minima: tuple[Fraction, ...]
     fixpoint_index: int
 
     @property
     def rounds(self) -> int:
-        return len(self.iterates) - 1
+        return self.fixpoint_index
 
 
 def is_eps_approximation(approximant: RSet, rset: RSet, eps) -> bool:
@@ -101,7 +100,9 @@ def subadditive_closure(seed: RSet, rset: RSet) -> tuple[RSet, ClosureTrace]:
 
     den, los, his, cur = scaled_with(rset, seed.points())
 
-    iterates = [seed]
+    # Semi-naive rounds: round n + 1 only sums pairs with a point that
+    # round n added, since round n holds every sum of two older points.
+    old, fresh = [], cur
     minima = [w1]
     rounds = 0
     while True:
@@ -110,19 +111,14 @@ def subadditive_closure(seed: RSet, rset: RSet) -> tuple[RSet, ClosureTrace]:
             raise NonterminationError(
                 f"closure exceeded its bound of {cap} rounds"
             )
-        nxt = _core.closure_step(cur, los, his)
-        if nxt == cur:
+        nxt = ops_py.closure_round(old, fresh, los, his)
+        if len(nxt) == len(cur):
             break
-        new_min = min(set(nxt) - set(cur))
-        minima.append(Fraction(new_min, den))
-        iterates.append(RSet([Fraction(v, den) for v in nxt]))
-        cur = nxt
-    trace = ClosureTrace(
-        iterates=tuple(iterates),
-        minima=tuple(minima),
-        fixpoint_index=len(iterates) - 1,
-    )
-    return iterates[-1], trace
+        known = set(cur)
+        old, fresh, cur = cur, [v for v in nxt if v not in known], nxt
+        minima.append(Fraction(fresh[0], den))
+    trace = ClosureTrace(minima=tuple(minima), fixpoint_index=len(minima) - 1)
+    return RSet._from_ints(den, cur), trace
 
 
 def make_eps_approximation(

@@ -15,10 +15,14 @@ from math import lcm
 from .errors import ParameterError
 
 def as_rational(value) -> Fraction:
-    """Coerce ``value`` (Fraction, int, or ``"p/q"`` string) to a Fraction."""
+    """Coerce ``value`` (Fraction, int, or ``"p/q"`` string) to a Fraction.
+
+    ``bool`` is an ``int`` subclass but not a rational: JSON ``true`` and
+    ``false`` are rejected, not read as 1 and 0.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

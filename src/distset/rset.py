@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import MembershipError, ParameterError, RangeError
@@ -73,6 +73,26 @@ class RSet:
     @classmethod
     def from_points(cls, points: Iterable) -> "RSet":
         return cls(list(points))
+
+    @classmethod
+    def _from_ints(cls, den: int, ints: Sequence[int]) -> "RSet":
+        """The finite set {v / den : v in ints}, for ascending, distinct,
+        non-negative ``ints``, with its reduced integer image cached.
+
+        Equal to ``RSet([Fraction(v, den) for v in ints])``; the common
+        factor g = gcd(den, *ints) is divided out, so ``scaled()`` reads
+        ``(den // g, [v // g for v in ints], ...)`` as it would there.
+        """
+        g = gcd(den, *ints)
+        den //= g
+        ints = [v // g for v in ints]
+        vals = [Fraction(v, den) for v in ints]
+        self = cls.__new__(cls)
+        self._intervals = tuple(zip(vals, vals))
+        self._los = vals
+        self._his = list(vals)
+        self._scaled = (den, ints, list(ints))
+        return self
 
     # -- basic structure ------------------------------------------------
 

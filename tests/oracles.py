@@ -3,9 +3,10 @@
 These deliberately avoid the library's search/closure algorithms: the
 truncated sum is a max-scan over an explicit point list, distances are
 exhaustive trail enumeration, a closure round truncates the sum of every
-ordered pair, the four-values oracle quantifies over ordered quadruples
-straight from the definition, and embeddings are found by scanning every
-injection in ``itertools`` order.  The multiset scans visit every
+ordered pair and the closure repeats full rounds to the fixpoint, the
+four-values oracle quantifies over ordered quadruples straight from the
+definition, and embeddings are found by scanning every injection in
+``itertools`` order.  The multiset scans visit every
 multiset, with no cut, and random members are rounded on Fractions.  The
 completion and the metric check on flat matrices are cell-at-a-time
 triple loops.
@@ -63,6 +64,17 @@ def closure_step(points, los, his):
         for b in points:
             out.add(sup_le_scan(los, his, a + b))
     return sorted(out)
+
+
+def closure_iterates(points, los, his):
+    """Full ``closure_step`` rounds from ``points`` until one adds nothing:
+    the list of iterates, ``points`` first and the fixpoint last."""
+    iterates = [sorted(points)]
+    while True:
+        nxt = closure_step(iterates[-1], los, his)
+        if nxt == iterates[-1]:
+            return iterates
+        iterates.append(nxt)
 
 
 def groupings(los, his, x, y, z):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import ceil
+from math import ceil, lcm
 
 import pytest
 
@@ -8,12 +8,14 @@ from distset import (
     ParameterError,
     RSet,
     SubsetError,
+    cantor_set,
     check_4values,
     is_eps_approximation,
     make_eps_approximation,
     subadditive_closure,
 )
 from conftest import random_associative_set, random_finite_set
+import oracles
 
 GRID = RSet([0, F(1, 4), F(1, 2), F(3, 4), 1])
 UNIT = RSet([(0, 1)])
@@ -210,3 +212,121 @@ class TestMakeEpsApproximation:
             assert is_eps_approximation(s, r, eps)
             closed_again, trace = subadditive_closure(s, r)
             assert closed_again == s
+
+
+def common_den(seed, rset):
+    values = [v for iv in rset.intervals for v in iv] + seed.points()
+    return lcm(*(v.denominator for v in values))
+
+
+def oracle_closure(seed, rset):
+    """Fixpoint, minima and round count from full oracle rounds on the
+    common-denominator image, decoded with ``RSet(...)``."""
+    den = common_den(seed, rset)
+    los = [int(lo * den) for lo, _ in rset.intervals]
+    his = [int(hi * den) for _, hi in rset.intervals]
+    its = oracles.closure_iterates([int(p * den) for p in seed.points()], los, his)
+    minima = [seed.min_positive] + [
+        F(min(set(b) - set(a)), den) for a, b in zip(its, its[1:])
+    ]
+    return RSet([F(v, den) for v in its[-1]]), tuple(minima), len(its) - 1
+
+
+def oracle_grid(rset, eps, seed_points, r):
+    """The grid ``make_eps_approximation`` documents: endpoints, interior
+    points at uniform spacing (at most r, or below eps), seed points and
+    the maximum; with r given, positive points below r give way to r."""
+    pts = {rset.max_value}
+    for lo, hi in rset.intervals:
+        pts |= {lo, hi}
+        if hi > lo:
+            k = ceil((hi - lo) / r) if r is not None else (hi - lo) // eps + 1
+            pts |= {lo + (hi - lo) * j / k for j in range(1, k)}
+    if seed_points is not None:
+        pts |= set(seed_points.points())
+    if r is not None:
+        pts = {p for p in pts if p == 0 or p >= r} | {r}
+    return RSet(sorted(pts))
+
+
+def random_ambient(rng, kind):
+    if kind == 0:
+        return RSet([(0, F(rng.randint(1, 9), rng.randint(1, 4)))])
+    if kind == 1:
+        weight = rng.choice([F(2, 5), F(1, 2), F(3, 7)])
+        return cantor_set([weight] * rng.randint(1, 2))
+    if kind == 2:
+        return random_finite_set(rng, max_size=8)
+    out, cur = [0], F(0)
+    for _ in range(rng.randint(1, 3)):
+        lo = cur + F(rng.randint(1, 6), rng.choice([2, 3, 4]))
+        hi = lo + F(rng.randint(0, 6), rng.choice([2, 3, 4]))
+        out.append((lo, hi))
+        cur = hi
+    return RSet(out)
+
+
+def random_member(rng, rset):
+    lo, hi = rng.choice(rset.intervals)
+    return lo + (hi - lo) * F(rng.randint(0, 6), 6)
+
+
+class TestClosurePinning:
+    """The semi-naive integer closure against full oracle rounds."""
+
+    def assert_pinned(self, seed, rset):
+        closed, trace = subadditive_closure(seed, rset)
+        expected, minima, rounds = oracle_closure(seed, rset)
+        assert closed == expected
+        assert closed.scaled() == expected.scaled()
+        assert trace.minima == minima
+        assert trace.rounds == trace.fixpoint_index == rounds
+        return closed, rounds
+
+    def test_image_sharing_a_factor_with_den(self):
+        # den 6 from the ambient set, image {3, 6}: reduced to {1/2, 1}
+        rset = RSet([0, (F(1, 6), 1)])
+        closed, _ = self.assert_pinned(RSet([F(1, 2), 1]), rset)
+        assert closed.scaled() == (2, [1, 2], [1, 2])
+        closed, _ = self.assert_pinned(RSet([F(1, 3), 1]), rset)
+        assert closed.scaled() == (3, [1, 2, 3], [1, 2, 3])
+
+    def test_seeded_closures(self):
+        rng = random.Random(41)
+        seen = set()
+        for case in range(120):
+            rset = random_ambient(rng, case % 4)
+            pts = {random_member(rng, rset) for _ in range(rng.randint(1, 4))}
+            pts.add(rset.sup_le(rset.max_value / rng.randint(2, 12)))
+            pts.add(rset.max_value)
+            seed = RSet(sorted(pts))
+            if seed.min_positive is None:
+                continue
+            closed, rounds = self.assert_pinned(seed, rset)
+            reduced = closed.scaled()[0] < common_den(seed, rset)
+            seen.add("reduced" if reduced else "unreduced")
+            seen.add(min(rounds, 2))
+        assert seen == {"reduced", "unreduced", 0, 1, 2}
+
+    def test_seeded_approximations(self):
+        rng = random.Random(42)
+        seen = set()
+        for case in range(80):
+            rset = random_ambient(rng, case % 4)
+            if rset.max_value == 0:
+                continue
+            eps = rset.max_value / rng.randint(2, 8)
+            r = None
+            if case % 2:
+                below = [rset.sup_le(eps * F(k, 8)) for k in range(1, 8)]
+                below = [v for v in below if 0 < v < eps]
+                r = rng.choice(below) if below else None
+            seeds = None
+            if rng.random() < 0.5:
+                seeds = RSet([rset.max_value])
+            s = make_eps_approximation(rset, eps, seeds, r)
+            expected, _, _ = oracle_closure(oracle_grid(rset, eps, seeds, r), rset)
+            assert s == expected
+            assert s.scaled() == expected.scaled()
+            seen.add(r is None)
+        assert seen == {True, False}

@@ -192,6 +192,58 @@ def test_closure_step_matches_oracle():
     assert seen == {"above", "at", "gap", "below", "finite", "union", True, False}
 
 
+def test_closure_round_matches_oracle():
+    # pure-Python round against the oracle, extension or not: on any split
+    # of the points into old and fresh it adds the sums with a fresh point,
+    # and on the split a first round leaves it equals a second full round.
+    # The inputs reach sums past max R that only fresh x old pairs make,
+    # sums in gaps, rounds that add nothing and one-point sets
+    rng = random.Random(10)
+    seen = set()
+    for case in range(600):
+        los, his = random_set_arrays(rng, max_points=6, top=120)
+        top = his[-1]
+        members = sorted(
+            {rng.randint(lo, hi) for lo, hi in zip(los, his) for _ in "abc"}
+        )
+        if case % 10 == 0:
+            pts = [rng.choice(members)]
+        else:
+            k = min(len(members), rng.randint(1, 12))
+            pts = sorted(rng.sample(members, k))
+
+        old = [p for p in pts if rng.random() < 0.5]
+        fresh = [p for p in pts if p not in old]
+        sums = {oracles.sup_le_scan(los, his, p + q) for p in fresh for q in pts}
+        assert ops_py.closure_round(old, fresh, los, his) == sorted(
+            {*pts, *sums}
+        ), (old, fresh, los, his)
+        with_old = [p + q for p in fresh for q in old]
+        with_fresh = [p + q for p in fresh for q in fresh if q >= p]
+        if (
+            top not in pts
+            and any(s > top for s in with_old)
+            and all(s <= top for s in with_fresh)
+        ):
+            seen.add("over from fresh x old only")
+        if any(oracles.sup_le_scan(los, his, s) < s for s in with_old if s <= top):
+            seen.add("gap")
+
+        first = oracles.closure_step(pts, los, his)
+        assert ops_py.closure_round([], pts, los, his) == first
+        added = sorted(set(first) - set(pts))
+        assert ops_py.closure_round(pts, added, los, his) == (
+            oracles.closure_step(first, los, his)
+        ), (pts, added, los, his)
+        seen.add("finite" if los == his else "union")
+        seen.add("one point" if len(pts) == 1 else "points")
+        seen.add("added" if added else "none added")
+    assert seen == {
+        "over from fresh x old only", "gap", "finite", "union",
+        "one point", "points", "added", "none added",
+    }
+
+
 def test_scan_assoc_matches_oracle():
     # pure-Python scan against the uncut multiset loop, extension or not;
     # the inputs reach the cut at max R, a hit that only the (x+z)+y

@@ -281,6 +281,9 @@ class TestCliContract:
             ("graph", "shortcut", "--graph", graph, "--a", "zz", "--b", "a"),
             ("set", "check", "--input",
              write_json(tmp_path, "s.json", {"intervals": [1, 2]})),
+            ("set", "check", "--input", write_json(
+                tmp_path, "bool.json", {"intervals": [[False, True]]}
+            )),
             ("set", "check", "--samples", "-1", "--input",
              write_json(tmp_path, "fin.json", grid)),
             ("graph", "check", "--graph", write_json(
