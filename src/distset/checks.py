@@ -5,12 +5,13 @@ For closed sets the two properties are equivalent, which this module
 exploits in both directions:
 
 * finite point sets are decided exhaustively (both checks);
-* interval unions cannot be decided exhaustively, so the four-values
-  check delegates to the associativity check, which scans a candidate
-  set (all interval endpoints closed under one round of truncated sums)
-  exhaustively and then samples seeded random member triples.  A Failed
-  verdict always carries an exact witness; a passing verdict on an
-  interval union is reported as heuristic.
+* a single interval [a, M] is associative, by the formula below;
+* other interval unions cannot be decided exhaustively, so the
+  four-values check delegates to the associativity check, which scans a
+  candidate set (all interval endpoints closed under one round of
+  truncated sums) exhaustively and then samples seeded random member
+  triples.  A Failed verdict always carries an exact witness; a passing
+  verdict on such a union is reported as heuristic.
 
 Associativity is scanned per value multiset: the truncated sum is
 commutative, so it is associative iff for every multiset {x, y, z} the
@@ -160,15 +161,21 @@ def random_member(rset: RSet, rng: random.Random) -> Fraction:
 def check_associativity(
     rset: RSet, sample_budget: int = 500, seed: int = 0
 ) -> CheckReport:
-    """Decide (finite sets) or probe (interval unions) associativity.
+    """Decide (finite sets, one interval) or probe (interval unions)
+    associativity.
 
-    Finite point sets are scanned exhaustively.  Interval unions are
-    scanned exhaustively over the endpoint-derived candidate values and
-    then over ``sample_budget`` seeded random member triples; passing
-    that way is reported as PassedHeuristic with the sample count.
+    One interval [a, M] is associative: members x, y have x + y >= a, so
+    x (+) y = min(x + y, M), and with z >= 0 both groupings of (x, y, z)
+    give min(x + y + z, M).  Finite point sets are scanned exhaustively.
+    Other interval unions are scanned exhaustively over the
+    endpoint-derived candidate values and then over ``sample_budget``
+    seeded random member triples; passing that way is reported as
+    PassedHeuristic with the sample count.
     """
     if sample_budget < 0:
         raise ParameterError("sample budget must be non-negative")
+    if len(rset.intervals) == 1:
+        return CheckReport(check="associativity", verdict=VERDICT_EXHAUSTIVE)
     den, los, his = rset.scaled()
     finite = rset.is_finite()
     if finite:

@@ -140,7 +140,9 @@ def _bridge_and_depth(args) -> tuple:
     depth = args.depth if args.depth is not None else obj.get("depth")
     if depth is None:
         raise DistSetError("give --depth or a 'depth' key in the input JSON")
-    return bridge, int(depth)
+    if not isinstance(depth, int) or isinstance(depth, bool):
+        raise ParameterError(f"depth must be an integer: {depth!r}")
+    return bridge, depth
 
 
 def _cmd_construct_tree(args) -> int:
@@ -182,7 +184,10 @@ def _cmd_construct_copy(args) -> int:
     _, space_l = construction.build_H_and_L(
         bridge, depth, node_budget=args.budget
     )
-    embedding = [int(part) for part in args.embedding.split(",") if part.strip()]
+    try:
+        embedding = [int(p) for p in args.embedding.split(",") if p.strip()]
+    except ValueError as exc:
+        raise ParameterError(f"embedding indices must be integers: {exc}") from exc
     copy = construction.find_nearby_copy(space_l, embedding, bridge, depth)
     _emit(copy.to_json_obj(), args)
     return 0

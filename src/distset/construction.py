@@ -66,7 +66,13 @@ class BridgeInput:
 
     def __post_init__(self):
         object.__setattr__(self, "r", as_rational(self.r))
-        object.__setattr__(self, "index_map", tuple(self.index_map))
+        try:
+            index_map = tuple(self.index_map)
+        except TypeError as exc:
+            raise ParameterError("index map must be a list of indices") from exc
+        if any(not isinstance(i, int) or isinstance(i, bool) for i in index_map):
+            raise ParameterError(f"index map entries must be integers: {index_map}")
+        object.__setattr__(self, "index_map", index_map)
         n = len(self.space_u.points)
         if len(self.index_map) != len(self.space_v.points):
             raise ParameterError("index map must enumerate all points of V")
@@ -123,7 +129,7 @@ class BridgeInput:
             ground_set=ground,
             space_u=FiniteMetricSpace.from_json_obj(obj["U"]),
             space_v=FiniteMetricSpace.from_json_obj(obj["V"]),
-            index_map=tuple(obj.get("I", [])),
+            index_map=obj.get("I", []),
             r=as_rational(obj["r"]),
         )
 
@@ -158,12 +164,10 @@ def derive_companion_W(bridge: BridgeInput) -> FiniteMetricSpace:
         bridge.v_point(i) if i in bridge.index_map else u.points[i]
         for i in range(n)
     ]
-    d = [
-        [completed.dist(rep[i], rep[j]) for j in range(n)] for i in range(n)
-    ]
+    d, du = completed.subspace(rep).matrix(), u.matrix()
     for i in range(n):
         for j in range(i + 1, n):
-            gap = abs(u.dist_by_index(i, j) - d[i][j])
+            gap = abs(du[i][j] - d[i][j])
             if gap > bridge.r:
                 raise MetricityError(
                     f"companion distance gap {gap} exceeds r at ({i}, {j})"
@@ -218,17 +222,13 @@ def build_tree(
         [(t,) for t in range(n_points)]
     ]
     total = n_points
+    rows = u._int_rows()
     for level in range(1, depth):
         prev = levels[level - 1]
         cur = []
         for alpha in prev:
             for t in range(alpha[-1] + 1, n_points):
-                ok = True
-                for i, img in enumerate(alpha):
-                    if u.dist_by_index(img, t) != u.dist_by_index(i, level):
-                        ok = False
-                        break
-                if ok:
+                if all(rows[img][t] == rows[i][level] for i, img in enumerate(alpha)):
                     cur.append(alpha + (t,))
         total += len(cur)
         if total > node_budget:
@@ -247,13 +247,12 @@ def build_tree(
         for alpha in tier
     ]
     by_mapping = {node.mapping: node for node in nodes}
+    w = companion.matrix()
     edges = []
     for node in nodes:
         for shorter in range(1, len(node.mapping)):
-            prefix = node.mapping[:shorter]
-            parent = by_mapping[prefix]
-            w = companion.dist_by_index(parent.level, node.level)
-            edges.append((parent.node_id, node.node_id, w))
+            parent = by_mapping[node.mapping[:shorter]]
+            edges.append((parent.node_id, node.node_id, w[parent.level][node.level]))
     graph = RGraph(
         bridge.ground_set, [node.node_id for node in nodes], edges
     )
@@ -320,12 +319,8 @@ def build_H_and_L(
         space_l = complete_to_metric_space(graph_h)
     except NotMetricError as exc:
         raise MetricityError(f"anchored graph is not metric: {exc}") from exc
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            if space_l.dist(pts[a], pts[b]) != u.dist_by_index(a, b):
-                raise MetricityError(
-                    "completion failed to embed U isometrically"
-                )
+    if space_l.subspace(pts).matrix() != u.matrix():
+        raise MetricityError("completion failed to embed U isometrically")
     return graph_h, space_l
 
 
@@ -386,9 +381,10 @@ def find_nearby_copy(
         raise NotAnEmbeddingError("embedding indices out of range")
     if any(emb[a] >= emb[a + 1] for a in range(len(emb) - 1)):
         raise NotAnEmbeddingError("embedding must be strictly increasing")
+    rows = u._int_rows()
     for a in range(depth):
         for b in range(a + 1, depth):
-            if u.dist_by_index(emb[a], emb[b]) != u.dist_by_index(a, b):
+            if rows[emb[a]][emb[b]] != rows[a][b]:
                 raise NotAnEmbeddingError(
                     f"map is not isometric on indices ({a}, {b})"
                 )

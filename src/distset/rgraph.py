@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 from . import _core
@@ -66,19 +66,24 @@ def ensure_associative(rset: RSet) -> None:
 class RGraph:
     """Simple undirected graph with weights in a distance set.
 
-    The weights are encoded once, with the ground set, as ints over one
-    common denominator ``_den``; the searches and the completion run on
-    that image (``_s``, ``_adj``, ``_los``, ``_his``).
+    The graph is its integer image: the weights are encoded once, with
+    the ground set, as ints over one common denominator ``_den``, and
+    ``_s``, ``_adj``, ``_los`` and ``_his`` are its whole state.  The
+    searches and the completion run on that image; Fraction weights are
+    decoded on access.
     """
 
     __slots__ = (
-        "_ground", "_vertices", "_index", "_w", "_s", "_adj", "_den", "_los", "_his"
+        "_ground", "_vertices", "_index", "_s", "_adj", "_den", "_los", "_his"
     )
 
     def __init__(self, ground_set: RSet, vertices: Sequence[str], edges: Iterable):
         if not ground_set.contains(0):
             raise ParameterError("the ground set must contain 0")
-        vs = tuple(str(v) for v in vertices)
+        try:
+            vs = tuple(str(v) for v in vertices)
+        except TypeError as exc:
+            raise ParameterError(f"vertices must be a list: {vertices!r}") from exc
         if len(set(vs)) != len(vs):
             raise ParameterError("vertex ids must be unique")
         if not vs:
@@ -86,7 +91,7 @@ class RGraph:
         self._ground = ground_set
         self._vertices = vs
         self._index = {v: i for i, v in enumerate(vs)}
-        self._w: dict[tuple[int, int], Fraction] = {}
+        weights: dict[tuple[int, int], Fraction] = {}
         try:
             edges = list(edges)
         except TypeError as exc:
@@ -98,17 +103,17 @@ class RGraph:
                 raise ParameterError(
                     f"an edge needs two endpoints and a weight: {item!r}"
                 ) from exc
-            self._add_edge(u, v, as_rational(w))
+            self._add_edge(weights, u, v, as_rational(w))
         self._den, self._los, self._his, ints = scaled_with(
-            ground_set, self._w.values()
+            ground_set, weights.values()
         )
-        self._s = dict(zip(self._w, ints))
+        self._s = dict(zip(weights, ints))
         self._adj: list[list[tuple[int, int]]] = [[] for _ in vs]
         for (i, j), s in self._s.items():
             self._adj[i].append((j, s))
             self._adj[j].append((i, s))
 
-    def _add_edge(self, u: str, v: str, w: Fraction) -> None:
+    def _add_edge(self, weights: dict, u: str, v: str, w: Fraction) -> None:
         try:
             i, j = self._index[str(u)], self._index[str(v)]
         except KeyError as exc:
@@ -117,7 +122,7 @@ class RGraph:
             raise ParameterError(f"loop at {u} not allowed")
         if i > j:
             i, j = j, i
-        if (i, j) in self._w:
+        if (i, j) in weights:
             raise ParameterError(f"duplicate edge ({u}, {v})")
         if w <= 0:
             raise ParameterError(f"edge ({u}, {v}) must have positive weight")
@@ -125,7 +130,7 @@ class RGraph:
             raise MembershipError(
                 f"edge weight {w} is not a member of the ground set"
             )
-        self._w[(i, j)] = w
+        weights[(i, j)] = w
 
     # -- structure -------------------------------------------------------
 
@@ -138,29 +143,26 @@ class RGraph:
         return self._vertices
 
     def edges(self) -> list[tuple[str, str, Fraction]]:
-        out = []
-        for (i, j) in sorted(self._w):
-            out.append((self._vertices[i], self._vertices[j], self._w[(i, j)]))
-        return out
+        value = {s: Fraction(s, self._den) for s in set(self._s.values())}
+        vs = self._vertices
+        return [(vs[i], vs[j], value[self._s[i, j]]) for i, j in sorted(self._s)]
 
     def edge_count(self) -> int:
-        return len(self._w)
+        return len(self._s)
 
     def has_edge(self, u: str, v: str) -> bool:
         i, j = self.index(u), self.index(v)
-        return (min(i, j), max(i, j)) in self._w
+        return (min(i, j), max(i, j)) in self._s
 
     def weight(self, u: str, v: str) -> Fraction:
         i, j = self.index(u), self.index(v)
         try:
-            return self._w[(min(i, j), max(i, j))]
+            return Fraction(self._s[min(i, j), max(i, j)], self._den)
         except KeyError as exc:
             raise ParameterError(f"({u}, {v}) is not an edge") from exc
 
     def with_edges(self, new_edges: Iterable) -> "RGraph":
-        combined = [(u, v, w) for u, v, w in self.edges()]
-        combined.extend(new_edges)
-        return RGraph(self._ground, self._vertices, combined)
+        return RGraph(self._ground, self._vertices, [*self.edges(), *new_edges])
 
     def index(self, v: str) -> int:
         try:
@@ -212,7 +214,7 @@ class RGraph:
 
     def __repr__(self) -> str:
         return (
-            f"RGraph(|V|={len(self._vertices)}, |E|={len(self._w)}, "
+            f"RGraph(|V|={len(self._vertices)}, |E|={len(self._s)}, "
             f"ground={self._ground!r})"
         )
 
@@ -220,18 +222,17 @@ class RGraph:
 class FiniteMetricSpace:
     """Point set with an exact symmetric distance matrix inside a set.
 
-    Beside its Fraction rows, a space keeps the integer image of its
-    matrix: a flat row-major list of ints over one denominator ``_den``,
-    a multiple of the ground set's, with the set's interval endpoints
-    ``_los``/``_his`` scaled to it.  Validation checks the metric axioms
-    (kernel-assisted) and that every entry belongs to the ground set,
-    both on the image.  Pass ``validate=False`` only for matrices
-    produced by operations that guarantee validity.
+    The space is the integer image of its matrix: a flat row-major list
+    of ints ``_flat`` over one denominator ``_den``, a multiple of the
+    ground set's, with the set's interval endpoints ``_los``/``_his``
+    scaled to it.  Fraction distances are decoded on access, and
+    :meth:`_int_rows` hands the image to the searches.  Validation checks
+    the metric axioms (kernel-assisted) and that every entry belongs to
+    the ground set, both on the image.  Pass ``validate=False`` only for
+    matrices produced by operations that guarantee validity.
     """
 
-    __slots__ = (
-        "_ground", "_points", "_index", "_den", "_los", "_his", "_flat", "_rows"
-    )
+    __slots__ = ("_ground", "_points", "_index", "_den", "_los", "_his", "_flat")
 
     def __init__(
         self,
@@ -248,31 +249,29 @@ class FiniteMetricSpace:
             square = False
         if not square:
             raise ParameterError("distance matrix shape mismatch")
-        self._rows = [[as_rational(x) for x in row] for row in dist]
         self._ground = ground_set
         self._den, self._los, self._his, self._flat = scaled_with(
-            ground_set, [x for row in self._rows for x in row]
+            ground_set, [as_rational(x) for row in dist for x in row]
         )
         if validate:
             self.validate()
 
     @classmethod
     def _from_image(cls, ground_set, points, image, validate):
-        """A space on the integer image ``(den, los, his, flat)``; its
-        rows are decoded with one Fraction per distinct value."""
+        """A space on the integer image ``(den, los, his, flat)``."""
         self = cls.__new__(cls)
         self._set_points(points)
         self._ground = ground_set
         self._den, self._los, self._his, self._flat = image
-        n, flat = len(self._points), self._flat
-        value = {s: Fraction(s, self._den) for s in set(flat)}
-        self._rows = [[value[s] for s in flat[i * n : i * n + n]] for i in range(n)]
         if validate:
             self.validate()
         return self
 
     def _set_points(self, points) -> None:
-        self._points = tuple(str(p) for p in points)
+        try:
+            self._points = tuple(str(p) for p in points)
+        except TypeError as exc:
+            raise ParameterError(f"points must be a list: {points!r}") from exc
         if len(set(self._points)) != len(self._points):
             raise ParameterError("point ids must be unique")
         self._index = {p: i for i, p in enumerate(self._points)}
@@ -299,7 +298,7 @@ class FiniteMetricSpace:
                 s = flat[i * n + j]
                 if sup_le(los, his, s) != s:
                     raise MembershipError(
-                        f"distance {self._rows[i][j]} between "
+                        f"distance {Fraction(s, self._den)} between "
                         f"{self._points[i]} and {self._points[j]} is not "
                         "a member of the ground set"
                     )
@@ -324,20 +323,27 @@ class FiniteMetricSpace:
             raise ParameterError(f"unknown point {p!r}") from exc
 
     def dist(self, p: str, q: str) -> Fraction:
-        return self._rows[self.index(p)][self.index(q)]
+        return self.dist_by_index(self.index(p), self.index(q))
 
     def dist_by_index(self, i: int, j: int) -> Fraction:
-        return self._rows[i][j]
+        at = range(len(self._points))  # list indexing: negatives, IndexError
+        return Fraction(self._flat[at[i] * len(at) + at[j]], self._den)
 
     def matrix(self) -> list[list[Fraction]]:
-        return [row[:] for row in self._rows]
+        value = {s: Fraction(s, self._den) for s in set(self._flat)}
+        return [[value[s] for s in row] for row in self._int_rows()]
 
     def realized_distances(self) -> set[Fraction]:
-        out = {ZERO} if self._points else set()
-        for i in range(len(self._points)):
-            for j in range(i + 1, len(self._points)):
-                out.add(self._rows[i][j])
-        return out
+        rows = self._int_rows()
+        upper = {s for i, row in enumerate(rows) for s in row[i + 1 :]}
+        return {Fraction(s, self._den) for s in upper} | ({ZERO} if rows else set())
+
+    def _int_rows(self, den: int | None = None) -> list[list[int]]:
+        """Rows of the integer image, rescaled to ``den`` (a multiple of
+        the space's own denominator; default the space's own)."""
+        n, f = len(self._points), 1 if den is None else den // self._den
+        flat = self._flat if f == 1 else [v * f for v in self._flat]
+        return [flat[i * n : i * n + n] for i in range(n)]
 
     def subspace(self, keep: Sequence[str]) -> "FiniteMetricSpace":
         idx = [self.index(p) for p in keep]
@@ -351,19 +357,19 @@ class FiniteMetricSpace:
         )
 
     def as_rgraph(self) -> RGraph:
-        edges = []
-        for i in range(len(self._points)):
-            for j in range(i + 1, len(self._points)):
-                edges.append(
-                    (self._points[i], self._points[j], self._rows[i][j])
-                )
-        return RGraph(self._ground, self._points, edges)
+        pts, d = self._points, self.matrix()
+        edges = [
+            (pts[i], pts[j], d[i][j])
+            for i in range(len(pts))
+            for j in range(i + 1, len(pts))
+        ]
+        return RGraph(self._ground, pts, edges)
 
     def to_json_obj(self) -> dict:
         return {
             "set": self._ground.to_json_obj(),
             "points": list(self._points),
-            "dist": [[rational_str(x) for x in row] for row in self._rows],
+            "dist": [[rational_str(x) for x in row] for row in self.matrix()],
         }
 
     @classmethod
@@ -472,7 +478,7 @@ def is_metric(graph: RGraph) -> CheckReport:
                     "edge": [graph.vertices[i], graph.vertices[j]],
                     "trail": trail,
                 },
-                lhs=graph._w[(i, j)],
+                lhs=Fraction(graph._s[(i, j)], graph._den),
                 rhs=Fraction(d, graph._den),
             )
     return CheckReport(check="metric-graph", verdict=VERDICT_EXHAUSTIVE)
@@ -482,7 +488,7 @@ def is_regular(graph: RGraph) -> bool:
     """Every finite graph with positive weights is regular: any walk
     between distinct vertices folds to at least one positive weight.
     Provided for contract completeness."""
-    return all(w > 0 for _, _, w in graph.edges())
+    return all(s > 0 for s in graph._s.values())
 
 
 @dataclass(frozen=True)
@@ -503,7 +509,7 @@ def _chordless_cycles(graph: RGraph, max_len: int):
     """
     n = len(graph.vertices)
     adj = [set() for _ in range(n)]
-    for (i, j) in graph._w:
+    for (i, j) in graph._s:
         adj[i].add(j)
         adj[j].add(i)
     for root in range(n):
@@ -534,24 +540,21 @@ def find_nonmetric_cycle(graph: RGraph, max_len: int) -> CycleWitness | None:
     ensure_associative(graph.ground_set)
     if max_len < 3:
         return None
-    fold = graph.ground_set.oplus_fold
+    los, his, den = graph._los, graph._his, graph._den
     for cycle in _chordless_cycles(graph, max_len):
         k = len(cycle)
-        weights = [
-            graph._w[(min(cycle[t], cycle[(t + 1) % k]),
-                      max(cycle[t], cycle[(t + 1) % k]))]
-            for t in range(k)
-        ]
+        steps = list(zip(cycle, cycle[1:] + cycle[:1]))
+        weights = [graph._s[min(u, v), max(u, v)] for u, v in steps]
         for t in range(k):
             rest = weights[t + 1 :] + weights[:t]
-            folded = fold(rest)
+            # left fold of the truncated sum, as RSet.oplus_fold
+            folded = reduce(lambda acc, w: sup_le(los, his, acc + w), rest)
             if weights[t] > folded:
-                u, v = cycle[t], cycle[(t + 1) % k]
                 return CycleWitness(
                     vertices=tuple(graph.vertices[c] for c in cycle),
-                    edge=(graph.vertices[u], graph.vertices[v]),
-                    edge_weight=weights[t],
-                    rest_weight=folded,
+                    edge=tuple(graph.vertices[c] for c in steps[t]),
+                    edge_weight=Fraction(weights[t], den),
+                    rest_weight=Fraction(folded, den),
                 )
     return None
 
@@ -618,7 +621,7 @@ def complete_to_metric_space(graph: RGraph) -> FiniteMetricSpace:
         if flat[i * n + j] != s:
             raise NotMetricError(
                 f"edge ({graph.vertices[i]}, {graph.vertices[j]}) of weight "
-                f"{graph._w[(i, j)]} is beaten by a walk of weight "
+                f"{Fraction(s, graph._den)} is beaten by a walk of weight "
                 f"{Fraction(flat[i * n + j], graph._den)}"
             )
     return FiniteMetricSpace._from_image(

@@ -23,10 +23,11 @@ point indices, with an explicit budget.  One budget unit is one
 candidate point tried at a search position; points already chosen are
 skipped without a charge.
 
-Searches and the saturation builder work on integer images: distances
-scaled to one common denominator, which keeps their order, so every
-enumeration order, seeded choice and budget charge is the one exact
-rationals would give.  Only witnesses and returned spaces are decoded.
+Searches, the Katetov enumeration and the saturation builder work on
+integer images: distances scaled to one common denominator, which keeps
+their order, so every enumeration order, seeded choice and budget charge
+is the one exact rationals would give.  Only witnesses, returned values
+and returned spaces are decoded.
 """
 
 from __future__ import annotations
@@ -113,14 +114,47 @@ def eps_neighborhood(
     e = as_rational(eps)
     if e <= 0:
         raise ParameterError("eps must be positive")
-    inside = [str(p) for p in subset]
-    for p in inside:
-        space.index(p)
+    inside = [space.index(str(p)) for p in subset]
+    # an int distance s over the space's den is below e * den iff it is
+    # below the ceiling of e * den
+    bound = -(-e.numerator * space._den // e.denominator)
     return [
         q
-        for q in space.points
-        if any(space.dist(q, p) < e for p in inside)
+        for q, row in zip(space.points, space._int_rows())
+        if any(row[p] < bound for p in inside)
     ]
+
+
+def _value_image(space: FiniteMetricSpace, values: RSet):
+    """``(den, rows, positive)``: the space's rows and the positive part
+    of the finite set ``values``, as ints over one common denominator."""
+    if not values.is_finite():
+        raise ParameterError("the value set must be finite")
+    vden, points, _ = values.scaled()
+    den = lcm(space._den, vden)
+    positive = [v * (den // vden) for v in points if v > 0]
+    return den, space._int_rows(den), positive
+
+
+def _katetov_ints(rows: list[list[int]], idx: Sequence[int], positive):
+    """Every prescription over the point indices ``idx``, as tuples of
+    values from ``positive`` (ascending ints over the rows' denominator)
+    with |f(x) - f(y)| <= d(x, y) <= f(x) + f(y), in lexicographic
+    order: each prefix is extended by every value that fits it."""
+    found: list[tuple[int, ...]] = [()]
+    for pos, i in enumerate(idx):
+        need = [rows[i][j] for j in idx[:pos]]
+        longer = []
+        for f in found:
+            pairs = list(zip(need, f))  # (distance, value) of earlier points
+            for v in positive:
+                for d, w in pairs:
+                    if abs(v - w) > d or d > v + w:
+                        break
+                else:
+                    longer.append(f + (v,))
+        found = longer
+    return found
 
 
 def enumerate_katetov(
@@ -128,37 +162,20 @@ def enumerate_katetov(
 ) -> list[KatetovFunction]:
     """All prescriptions over ``subset`` with values in the positive part
     of the finite set ``values``."""
-    if not values.is_finite():
-        raise ParameterError("the value set must be finite")
-    domain = tuple(str(p) for p in subset)
-    for p in domain:
-        space.index(p)
-    positive = [v for v in values.points() if v > 0]
-    found: list[KatetovFunction] = []
-    assignment: dict[str, Fraction] = {}
+    den, rows, positive = _value_image(space, values)
+    idx = [space.index(str(p)) for p in subset]
+    return [
+        _katetov_function(space, den, idx, vals)
+        for vals in _katetov_ints(rows, idx, positive)
+    ]
 
-    def assign(pos: int) -> None:
-        if pos == len(domain):
-            found.append(
-                KatetovFunction(domain=domain, values=dict(assignment))
-            )
-            return
-        p = domain[pos]
-        for v in positive:
-            ok = True
-            for q in domain[:pos]:
-                d = space.dist(p, q)
-                w = assignment[q]
-                if abs(v - w) > d or d > v + w:
-                    ok = False
-                    break
-            if ok:
-                assignment[p] = v
-                assign(pos + 1)
-                del assignment[p]
 
-    assign(0)
-    return found
+def _katetov_function(space: FiniteMetricSpace, den, idx, vals) -> KatetovFunction:
+    """The prescription ``vals`` (ints over ``den``) on the points ``idx``."""
+    domain = tuple(space.points[i] for i in idx)
+    return KatetovFunction(
+        domain=domain, values={p: Fraction(v, den) for p, v in zip(domain, vals)}
+    )
 
 
 def realizes(space: FiniteMetricSpace, func: KatetovFunction) -> bool:
@@ -169,13 +186,28 @@ def realizes(space: FiniteMetricSpace, func: KatetovFunction) -> bool:
     )
 
 
-def _extension_class_key(space: FiniteMetricSpace, subset, values) -> tuple:
-    """Isometry-class key of a one-point extension: the base's distance
-    matrix together with the prescribed values, minimized over base
-    orderings."""
-    idx = [space.index(p) for p in subset]
-    base = [[space.dist_by_index(a, b) for b in idx] for a in idx]
-    return _canonical_form(len(idx), base, values)
+def _first_unrealized(rows: list[list[int]], positive, arity: int):
+    """The first ``(subset, prescription)`` over point indices, by size,
+    then ``combinations`` and :func:`_katetov_ints` order, whose class
+    (:func:`_canonical_form` of the base rows and the values) no point
+    realizes over a subset of that size; None when there is none."""
+    n = len(rows)
+    for size in range(1, arity + 1):
+        subsets = [
+            (sub, [[rows[a][b] for b in sub] for a in sub])
+            for sub in itertools.combinations(range(n), size)
+        ]
+        witnessed = {
+            _canonical_form(size, base, [rows[z][p] for p in sub])
+            for sub, base in subsets
+            for z in range(n)
+            if z not in sub
+        }
+        for sub, base in subsets:
+            for vals in _katetov_ints(rows, sub, positive):
+                if _canonical_form(size, base, vals) not in witnessed:
+                    return sub, vals
+    return None
 
 
 def find_unrealized_katetov(
@@ -193,38 +225,12 @@ def find_unrealized_katetov(
     """
     if arity < 1:
         raise ParameterError("arity must be at least 1")
-    points = space.points
-    for size in range(1, arity + 1):
-        witnessed: set[tuple] = set()
-        for subset in itertools.combinations(points, size):
-            for z in points:
-                if z in subset:
-                    continue
-                witnessed.add(
-                    _extension_class_key(
-                        space, subset, [space.dist(z, p) for p in subset]
-                    )
-                )
-        for subset in itertools.combinations(points, size):
-            for func in enumerate_katetov(space, subset, values):
-                vals = [func.values[p] for p in subset]
-                if _extension_class_key(space, subset, vals) not in witnessed:
-                    return func
-    return None
+    den, rows, positive = _value_image(space, values)
+    hit = _first_unrealized(rows, positive, arity)
+    return None if hit is None else _katetov_function(space, den, *hit)
 
 
 # -- saturation builder ------------------------------------------------------
-
-
-def _admissible_pairs(values: Sequence[int], d: int):
-    """Unordered admissible value pairs for a base pair at distance d."""
-    out = []
-    for a in range(len(values)):
-        for b in range(a, len(values)):
-            f1, f2 = values[a], values[b]
-            if f2 - f1 <= d <= f1 + f2:
-                out.append((f1, f2))
-    return out
 
 
 class _SaturationState:
@@ -245,8 +251,14 @@ class _SaturationState:
         self.instances: dict[int, list[tuple[int, int]]] = {}
 
     def admissible(self, d: int):
+        """Unordered admissible value pairs for a base pair at distance d."""
         if d not in self.pair_types:
-            self.pair_types[d] = _admissible_pairs(self.positive, d)
+            base = [[0, d], [d, 0]]
+            self.pair_types[d] = [
+                (f1, f2)
+                for f1, f2 in _katetov_ints(base, (0, 1), self.positive)
+                if f1 <= f2
+            ]
         return self.pair_types[d]
 
     def add_point(self, d: list[list[int]]) -> None:
@@ -331,12 +343,6 @@ def build_saturated_space(
     state = _SaturationState(positive)
     rng = random.Random(seed)
 
-    def current_space(validate: bool) -> FiniteMetricSpace:
-        flat = [x for row in d for x in row]
-        return FiniteMetricSpace._from_image(
-            values, pts, (den, los, his, flat), validate
-        )
-
     def realize(subset: tuple[int, ...], prescription: tuple) -> None:
         row: list[int | None] = [None] * len(pts)
         for pos, i in enumerate(subset):
@@ -374,14 +380,9 @@ def build_saturated_space(
     while len(pts) < max_points:
         missing = state.missing(witness_arity)
         if not missing and witness_arity > 2:
-            space = current_space(False)
-            generic_func = find_unrealized_katetov(space, values, witness_arity)
-            if generic_func is not None:
-                domain = generic_func.domain
-                realize(
-                    tuple(space.index(p) for p in domain),
-                    tuple(int(generic_func.values[p] * den) for p in domain),
-                )
+            hit = _first_unrealized(d, positive, witness_arity)
+            if hit is not None:
+                realize(*hit)
                 continue
         if not missing:
             break
@@ -395,18 +396,11 @@ def build_saturated_space(
                 progress = True
         if not progress:
             break
-    return current_space(True)
+    flat = [x for row in d for x in row]
+    return FiniteMetricSpace._from_image(values, pts, (den, los, his, flat), True)
 
 
 # -- embedding searches ------------------------------------------------------
-
-
-def _int_rows(space: FiniteMetricSpace, den: int) -> list[list[int]]:
-    """Rows of the space's integer image, rescaled to ``den`` (a multiple
-    of the space's own denominator)."""
-    n, f = len(space.points), den // space._den
-    flat = space._flat if f == 1 else [v * f for v in space._flat]
-    return [flat[i * n : i * n + n] for i in range(n)]
 
 
 def _embed(
@@ -471,7 +465,7 @@ def find_isometric_copy(
     cands = [space.index(p) for p in names]
     counter = None if budget is None else [budget]
     den = lcm(space._den, target._den)
-    dist, tgt = _int_rows(space, den), _int_rows(target, den)
+    dist, tgt = space._int_rows(den), target._int_rows(den)
     hit = _embed(dist, tgt, cands, counter, "embedding search")
     if hit is None:
         return None
@@ -488,15 +482,10 @@ def check_universality(
     (minimal under point permutations); the budget caps the number of
     matrix assignments plus candidates tried by the shared search core.
     """
-    if not values.is_finite():
-        raise ParameterError("the value set must be finite")
+    den, dist, positive = _value_image(space, values)
     if n < 1:
         raise ParameterError("n must be at least 1")
-    vden, points, _ = values.scaled()
-    den = lcm(space._den, vden)
-    positive = [v * (den // vden) for v in points if v > 0]
     counter = [budget]
-    dist = _int_rows(space, den)
     cands = list(range(len(space.points)))
 
     for k in range(1, n + 1):
@@ -532,36 +521,28 @@ def check_universality(
 
 def _enumerate_matrices(k: int, positive: Sequence[int], counter):
     """All k-point distance matrices with entries from ``positive`` that
-    satisfy the triangle inequality, by backtracking over pairs."""
+    satisfy the triangle inequality, by backtracking over pairs in
+    lexicographic order: when (i, j) is assigned, both {t, i} and {t, j}
+    already are exactly for t < i."""
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     matrix = [[0] * k for _ in range(k)]
-    done: set[tuple[int, int]] = set()
 
     def rec(pos: int):
         if pos == len(pairs):
             yield [row[:] for row in matrix]
             return
         i, j = pairs[pos]
+        row_i, row_j = matrix[i], matrix[j]
         for v in positive:
             if counter[0] <= 0:
                 raise BudgetError("universality enumeration budget exhausted")
             counter[0] -= 1
-            ok = True
-            for t in range(k):
-                if t == i or t == j:
-                    continue
-                if (i, t) in done and (j, t) in done:
-                    a, b = matrix[i][t], matrix[j][t]
-                    if abs(a - b) > v or v > a + b:
-                        ok = False
-                        break
-            if ok:
+            if all(
+                abs(row_i[t] - row_j[t]) <= v <= row_i[t] + row_j[t]
+                for t in range(i)
+            ):
                 matrix[i][j] = matrix[j][i] = v
-                done.add((i, j))
-                done.add((j, i))
                 yield from rec(pos + 1)
-                done.discard((i, j))
-                done.discard((j, i))
 
     yield from rec(0)
 
@@ -593,7 +574,7 @@ def check_extension_property(
         raise ParameterError("k must be at least 1")
     pts = space.points
     n = len(pts)
-    dist = _int_rows(space, space._den)
+    dist = space._int_rows()
     counter = [budget]
     stuck: list[tuple] = []
 
@@ -669,7 +650,7 @@ def find_order_embedding(
     want = len(space.points) if length is None else length
     if want < 0 or want > len(space.points):
         raise ParameterError("length must be between 0 and the point count")
-    dist = _int_rows(space, space._den)
+    dist = space._int_rows()
     hit = _embed(
         dist, dist[:want], targets, [budget], "order-embedding", increasing=True
     )
@@ -689,16 +670,17 @@ def partition_distance_function(
     x = {str(p) for p in part}
     for p in x:
         space.index(p)
-    y = [p for p in space.points if p not in x]
+    pts = space.points
+    xs = [i for i, p in enumerate(pts) if p in x]
+    y = [i for i, p in enumerate(pts) if p not in x]
     if not x or not y:
         raise PartitionError("partition needs two nonempty parts")
-    xs = [p for p in space.points if p in x]
-    out: dict[str, Fraction] = {}
-    for p in xs:
-        out[p] = min(space.dist(p, q) for q in y)
-    for q in y:
-        out[q] = min(space.dist(p, q) for p in xs)
-    return out
+    rows, den = space._int_rows(), space._den
+    return {
+        pts[i]: Fraction(min(rows[i][j] for j in other), den)
+        for side, other in ((xs, y), (y, xs))
+        for i in side
+    }
 
 
 def indivisibility_search(
@@ -727,7 +709,7 @@ def indivisibility_search(
         )
     counter = [budget]
     den = lcm(space._den, target._den)
-    dist, tgt = _int_rows(space, den), _int_rows(target, den)
+    dist, tgt = space._int_rows(den), target._int_rows(den)
     for colour in coloring.classes():
         inside = coloring.class_points(colour)
         if e == 0:
@@ -768,8 +750,8 @@ def oscillation_search(
     bound = int(e * fden)
     den = lcm(space._den, target._den)
     hit = _embed(
-        _int_rows(space, den),
-        _int_rows(target, den),
+        space._int_rows(den),
+        target._int_rows(den),
         list(range(len(space.points))),
         [budget],
         "oscillation search",

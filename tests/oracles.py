@@ -9,7 +9,9 @@ definition, and embeddings are found by scanning every injection in
 ``itertools`` order.  The multiset scans visit every
 multiset, with no cut, and random members are rounded on Fractions.  The
 completion and the metric check on flat matrices are cell-at-a-time
-triple loops.
+triple loops.  The Katetov enumeration, the unrealized-type search, the
+eps-neighbourhood and the partition distance function compare Fraction
+distances read through ``space.dist``.
 """
 
 import itertools
@@ -265,3 +267,82 @@ def first_injection(space, target, cands, accept=None, ordered=False):
         ):
             return img
     return None
+
+
+def katetov_functions(space, subset, positive):
+    """Every prescription over the point ids ``subset`` with values in
+    ``positive`` (ascending Fractions), as dicts in lexicographic order;
+    each value is tested against the values chosen before it."""
+    found = []
+    assignment = {}
+
+    def assign(pos):
+        if pos == len(subset):
+            found.append(dict(assignment))
+            return
+        p = subset[pos]
+        for v in positive:
+            if all(
+                abs(v - assignment[q]) <= space.dist(p, q) <= v + assignment[q]
+                for q in subset[:pos]
+            ):
+                assignment[p] = v
+                assign(pos + 1)
+                del assignment[p]
+
+    assign(0)
+    return found
+
+
+def _extension_class(space, subset, vals):
+    """Least (upper triangle of the base, values) over base orderings."""
+    k = len(subset)
+    upper = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    return min(
+        tuple(
+            [space.dist(subset[p[i]], subset[p[j]]) for i, j in upper]
+            + [vals[i] for i in p]
+        )
+        for p in itertools.permutations(range(k))
+    )
+
+
+def first_unrealized_katetov(space, positive, arity):
+    """First prescription, by subset size, subset and value order, whose
+    extension class no point outside a subset of that size realizes;
+    None when there is none."""
+    points = space.points
+    for size in range(1, arity + 1):
+        subsets = list(itertools.combinations(points, size))
+        witnessed = {
+            _extension_class(space, sub, [space.dist(z, p) for p in sub])
+            for sub in subsets
+            for z in points
+            if z not in sub
+        }
+        for sub in subsets:
+            for values in katetov_functions(space, sub, positive):
+                vals = [values[p] for p in sub]
+                if _extension_class(space, sub, vals) not in witnessed:
+                    return values
+    return None
+
+
+def eps_neighborhood(space, subset, eps):
+    """Points strictly within eps of some point of ``subset``."""
+    return [
+        q for q in space.points if any(space.dist(q, p) < eps for p in subset)
+    ]
+
+
+def partition_distance_function(space, part):
+    """Each point's least distance to the other side of the partition."""
+    inside = set(part)
+    return {
+        p: min(
+            space.dist(p, q)
+            for q in space.points
+            if (q in inside) != (p in inside)
+        )
+        for p in space.points
+    }

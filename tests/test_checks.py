@@ -16,7 +16,7 @@ from distset import (
     check_associativity,
     recheck_witness,
 )
-from distset.checks import MAX_SAMPLE_DEN, random_member
+from distset.checks import MAX_SAMPLE_DEN, CheckReport, random_member
 from conftest import random_finite_set
 from oracles import assoc_holds, four_values_holds
 from oracles import random_member as fraction_random_member
@@ -45,9 +45,17 @@ class TestAssociativity:
         assert recheck_witness(MID2, rep)
 
     def test_interval_passes_heuristically(self):
-        rep = check_associativity(RSet([(0, 1)]), sample_budget=64, seed=5)
+        # a union of intervals: one interval is decided exactly (below)
+        rep = check_associativity(cantor_set([F(2, 5)]), sample_budget=64, seed=5)
         assert rep.verdict == VERDICT_HEURISTIC
         assert rep.sample_count == 64
+
+    @pytest.mark.parametrize("interval", [(0, 1), (0, 3), (F(1, 2), F(7, 3))])
+    def test_one_interval_is_decided(self, interval):
+        # x (+) y = min(x + y, M) on [a, M], so every grouping of a
+        # triple folds to min(x + y + z, M)
+        rep = check_associativity(RSet([interval]), sample_budget=64, seed=5)
+        assert rep == CheckReport(check="associativity", verdict=VERDICT_EXHAUSTIVE)
 
     @pytest.mark.parametrize(
         "rset, verdict, triple, lhs, rhs",
@@ -118,6 +126,15 @@ class TestAssociativity:
             rhs,
         )
 
+    def test_sampling_finds_what_the_candidates_miss(self):
+        r = RSet([(0, F(1, 6)), F(1, 3)])
+        assert check_associativity(r, sample_budget=0).passed
+        rep = check_associativity(r)
+        assert rep.verdict == VERDICT_FAILED
+        assert rep.witness == {"a": F(1, 6), "b": F(1, 7), "c": F(1, 12)}
+        assert (rep.lhs, rep.rhs) == (F(1, 6), F(1, 3))
+        assert recheck_witness(r, rep)
+
     def test_deterministic_given_seed(self):
         r = RSet([0, (F(1, 2), 1)])
         a = check_associativity(r, sample_budget=32, seed=9)
@@ -136,10 +153,14 @@ class TestFourValues:
         assert recheck_witness(r, rep)
 
     def test_interval_union_delegates(self):
-        rep = check_4values(RSet([(0, 1)]), sample_budget=32, seed=1)
+        rep = check_4values(cantor_set([F(2, 5)]), sample_budget=32, seed=1)
         assert rep.check == "four-values"
         assert rep.verdict == VERDICT_HEURISTIC
+        assert rep.sample_count == 32
         assert rep.note is not None
+        rep = check_4values(RSet([(0, 1)]), sample_budget=32, seed=1)
+        assert (rep.check, rep.verdict) == ("four-values", VERDICT_EXHAUSTIVE)
+        assert rep.sample_count is None and rep.note is not None
 
     def test_middle_third_delegated_witness(self):
         rep = check_4values(MID2)

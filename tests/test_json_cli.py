@@ -218,6 +218,29 @@ class TestSpaceCommands:
         )
         assert code == 0
         assert json.loads(out)["verdict"] == "PassedExhaustive"
+        code, out, _ = run_cli(
+            capsys, "space", "extension", "--space", mpath, "--k", "1",
+        )
+        assert (code, json.loads(out)["verdict"]) == (0, "PassedExhaustive")
+
+    def test_extension_failure_exits_1(self, capsys, tmp_path):
+        path = write_json(tmp_path, "m.json", {
+            "set": RSet([0, 1, 2]).to_json_obj(),
+            "points": ["a", "m", "b"],
+            "dist": [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]],
+        })
+        code, out, _ = run_cli(
+            capsys, "space", "extension", "--space", path, "--k", "1",
+        )
+        assert code == 1
+        assert json.loads(out) == {
+            "check": "extension",
+            "verdict": "Failed",
+            "witness": {"domain": ["a"], "image": ["m"], "x": "b"},
+            "lhs": None,
+            "rhs": None,
+            "note": "no point extends this partial isometry over x",
+        }
 
     def test_color_and_oscillate_and_embed(self, capsys, tmp_path):
         space_obj = {
@@ -263,7 +286,7 @@ class TestSpaceCommands:
 
 
 class TestCliContract:
-    def test_input_error_exit_2(self, capsys, tmp_path):
+    def test_input_error_exit_2(self, capsys, tmp_path, desk_bridge):
         missing = str(tmp_path / "nope.json")
         code, _, err = run_cli(capsys, "set", "check", "--input", missing)
         assert code == 2
@@ -312,7 +335,28 @@ class TestCliContract:
                 tmp_path, "e5.json",
                 {"set": grid, "vertices": ["a", "b"], "edges": 5},
             )),
+            ("graph", "check", "--graph", write_json(
+                tmp_path, "v5.json", {"set": grid, "vertices": 5, "edges": []}
+            )),
+            ("space", "extension", "--k", "1", "--space", write_json(
+                tmp_path, "p5.json", {"set": grid, "points": 5, "dist": []}
+            )),
         ]
+        bridge = desk_bridge.to_json_obj()
+        for n, (key, value) in enumerate([
+            ("depth", "x"), ("depth", 1.5), ("depth", True),
+            ("I", 5), ("I", [0, "x"]), ("I", [0, True]),
+        ]):
+            path = write_json(tmp_path, f"bad{n}.json", {
+                "depth": 2, **bridge, key: value,
+            })
+            for command in ("tree", "full", "copy"):
+                extra = ("--embedding", "0,1") if command == "copy" else ()
+                malformed.append(("construct", command, "--input", path, *extra))
+        good = write_json(tmp_path, "good.json", {**bridge, "depth": 2})
+        malformed.append(
+            ("construct", "copy", "--input", good, "--embedding", "a,b")
+        )
         for argv in malformed:
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, ""), argv

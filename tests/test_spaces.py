@@ -25,7 +25,13 @@ from distset import (
     partition_distance_function,
     realizes,
 )
-from conftest import random_metric_space
+from conftest import (
+    random_associative_set,
+    random_finite_set,
+    random_metric_space,
+    random_unit_interval_space,
+)
+import oracles
 from oracles import first_injection
 
 S012 = RSet([0, 1, 2])
@@ -127,11 +133,105 @@ class TestSaturation:
         assert (again._den, again._flat) == (m._den, m._flat)
         assert find_unrealized_katetov(m, values, 2) is None
 
+    def test_arity_three_pass(self):
+        # the generic pass beyond arity 2 adds points the pair types miss
+        values = S0123
+        m3 = build_saturated_space(values, max_points=80, witness_arity=3, seed=1)
+        m2 = build_saturated_space(values, max_points=80, witness_arity=2, seed=1)
+        assert (len(m3), len(m2)) == (14, 8)
+        assert find_unrealized_katetov(m2, values, 3) is not None
+        assert find_unrealized_katetov(m3, values, 3) is None
+        m3.validate()
+
+    def test_unrealized_type_is_returned(self):
+        m = FiniteMetricSpace(S012, ["a", "b"], [[0, 1], [1, 0]])
+        func = find_unrealized_katetov(m, S012, 1)
+        assert (func.domain, func.values) == (("a",), {"a": F(2)})
+        assert not realizes(m, func)
+
     def test_saturation_soundness(self):
         # saturated at arity m implies universal at m+1
         m = build_saturated_space(S012, max_points=40, witness_arity=1, seed=3)
         if find_unrealized_katetov(m, S012, 1) is None:
             assert check_universality(m, S012, 2).passed
+
+
+def _oracle_cases(seed, count):
+    """Seeded spaces with value sets, some sharing the space's
+    denominators and some not."""
+    rng = random.Random(seed)
+    for t in range(count):
+        n = rng.randint(1, 6)
+        if t % 3 == 0:
+            m = random_unit_interval_space(rng, n, max_den=6)
+        else:
+            m = random_metric_space(rng, random_associative_set(rng, 5), n)
+        extra = random_finite_set(rng, max_size=4, max_den=6, top=2)
+        if t % 2:
+            values = RSet([*m.realized_distances(), *extra.points()])
+        else:
+            values = extra
+        yield rng, m, values
+
+
+class TestFractionOracles:
+    """The integer searches agree with Fraction searches over the same
+    spaces."""
+
+    def test_enumerate_katetov(self):
+        kinds = set()
+        cases = []
+        for rng, m, values in _oracle_cases(71, 60):
+            size = rng.randint(0, min(3, len(m)))
+            cases.append((rng, m, values, rng.sample(list(m.points), size)))
+        cases.append((None, path_112(), RSet([0, F(1, 2)]), ["a", "b"]))
+        for _, m, values, subset in cases:
+            positive = [v for v in values.points() if v > 0]
+            got = [f.values for f in enumerate_katetov(m, subset, values)]
+            assert all(f.keys() == set(subset) for f in got)
+            assert got == oracles.katetov_functions(m, subset, positive)
+            # none, some or all of the value tuples are prescriptions
+            kinds.add(min(len(got), 1) + (len(got) == len(positive) ** len(subset)))
+        assert kinds == {0, 1, 2}
+
+    def test_find_unrealized_katetov(self):
+        hits = set()
+        cases = list(_oracle_cases(73, 60))
+        for values in (S012, RSet([0, F(1, 2), 1])):
+            for arity in (1, 2):
+                m = build_saturated_space(values, max_points=30, seed=arity)
+                cases.append((None, m, values))
+        for rng, m, values in cases:
+            positive = [v for v in values.points() if v > 0]
+            for arity in (1, 2, 3):
+                func = find_unrealized_katetov(m, values, arity)
+                want = oracles.first_unrealized_katetov(m, positive, arity)
+                got = None if func is None else func.values
+                assert got == want
+                if func is not None:
+                    assert func.domain == tuple(
+                        p for p in m.points if p in func.values
+                    )
+                hits.add(None if func is None else len(func.domain))
+        assert hits == {None, 1, 2, 3}
+
+    def test_eps_neighborhood(self):
+        for rng, m, values in _oracle_cases(79, 60):
+            subset = rng.sample(list(m.points), rng.randint(0, len(m)))
+            for eps in (F(1, 7), F(1, 3), F(1, 2), *values.points()[1:3]):
+                want = oracles.eps_neighborhood(m, subset, eps)
+                assert eps_neighborhood(m, subset, eps) == want
+
+    def test_partition_distance_function(self):
+        for rng, m, values in _oracle_cases(83, 60):
+            if len(m) < 2:
+                continue
+            part = rng.sample(list(m.points), rng.randint(1, len(m) - 1))
+            got = partition_distance_function(m, part)
+            assert got == oracles.partition_distance_function(m, part)
+            assert list(got) == [p for p in m.points if p in part] + [
+                p for p in m.points if p not in part
+            ]
 
 
 class TestUniversality:
