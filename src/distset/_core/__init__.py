@@ -8,7 +8,11 @@ precision) handles the call.  Both backends return the same results bit
 for bit, so they are interchangeable; their loops need not visit the
 same inputs: the Python closure round skips the sums that can only
 truncate to max R, its two scans skip the multisets that cannot fail,
-and its completion and metric check run a row at a time.
+and its completion and metric check run a row at a time.  The Python
+associativity scan also truncates each candidate pair once, into a table
+read by every multiset, and each distinct outer sum once, through a memo
+local to the call; ``sup_le`` depends on the sum alone, so both return
+exactly the values the plain loop would compute.
 
 The subadditive closure in ``distset.approx`` calls
 ``ops_py.closure_round`` directly on both backends: its semi-naive rounds
@@ -41,10 +45,12 @@ def backend_name() -> str:
 
 
 def _fits(*seqs) -> bool:
+    # every value in [-_INT64_SAFE, _INT64_SAFE]; an empty sequence fits
     for seq in seqs:
-        for v in seq:
-            if v > _INT64_SAFE or v < -_INT64_SAFE:
-                return False
+        if min(seq, default=0) < -_INT64_SAFE:
+            return False
+        if max(seq, default=0) > _INT64_SAFE:
+            return False
     return True
 
 

@@ -39,6 +39,20 @@ def _member_in(points, lo, hi):
     return i < len(points) and points[i] <= hi
 
 
+class _Truncation(dict):
+    """``sup_le`` over one set, memoised by the raw sum: ``t[s]``."""
+
+    __slots__ = ("los", "his")
+
+    def __init__(self, los, his):
+        self.los = los
+        self.his = his
+
+    def __missing__(self, s):
+        v = self[s] = sup_le(self.los, self.his, s)
+        return v
+
+
 def scan_assoc(los, his, cands):
     """First multiset {x <= y <= z} of candidates on which the truncated
     sum is not associative, as ascending indices, or None.
@@ -47,22 +61,31 @@ def scan_assoc(los, his, cands):
     every value multiset agree.  ``cands`` ascends, and each grouping
     rises with z to at most max R, so the k loop stops once all three
     reach max R.
+
+    Every inner truncation is a sum of two candidates, so the pair table
+    ``pair[a][b - a] = c_a (+) c_b`` (a <= b), built on entry, holds them
+    all, and each multiset costs the three outer truncations only:
+    (x (+) y) + z, (y (+) z) + x and (x (+) z) + y.  All truncations go
+    through a memo local to the call, keyed by the raw sum: ``sup_le`` is
+    a function of the sum alone, so a repeated sum reads the value it
+    truncated to the first time.  Visit order, comparisons and result
+    are those of the plain triple loop; only the table is filled ahead,
+    with n (n + 1) / 2 memo reads.
     """
     top = his[-1]
     n = len(cands)
+    t = _Truncation(los, his)
+    pair = [[t[x + z] for z in cands[a:]] for a, x in enumerate(cands)]
     for i in range(n):
         x = cands[i]
+        pair_i = pair[i]
         for j in range(i, n):
             y = cands[j]
-            xy = sup_le(los, his, x + y)
+            pair_j = pair[j]
+            xy = pair_i[j - i]
             for k in range(j, n):
-                z = cands[k]
-                p1 = sup_le(los, his, xy + z)
-                p3 = sup_le(los, his, sup_le(los, his, y + z) + x)
-                if p1 != p3:
-                    return (i, j, k)
-                p2 = sup_le(los, his, sup_le(los, his, x + z) + y)
-                if p1 != p2:
+                p1 = t[xy + cands[k]]
+                if p1 != t[pair_j[k - j] + x] or p1 != t[pair_i[k - i] + y]:
                     return (i, j, k)
                 if p1 == top:
                     break

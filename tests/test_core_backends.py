@@ -4,11 +4,13 @@ import itertools
 import os
 import random
 from bisect import bisect_right
+from fractions import Fraction as F
 
 import pytest
 
 from distset import _core
 from distset._core import ops_py
+from distset.cantor import cantor_set
 
 import oracles
 
@@ -47,6 +49,13 @@ def random_set_arrays(rng, max_points=12, top=2000):
     return los, his
 
 
+def stage_candidates(weights):
+    """``(los, his, cands)`` that ``check_associativity`` scans on the
+    Cantor stage of ``weights``: the endpoints closed under one round."""
+    _, los, his = cantor_set(weights).scaled()
+    return los, his, ops_py.closure_step(sorted({*los, *his}), los, his)
+
+
 @skip_no_ext
 def test_sup_le_agrees():
     rng = random.Random(1)
@@ -68,6 +77,23 @@ def test_scan_assoc_agrees():
         assert ops_py.scan_assoc(los, his, cands) == ops_cy.scan_assoc(
             los, his, cands
         )
+    # realistic inputs: stage candidates up to depth 5 and one grid
+    half, twofifths, third = F(1, 2), F(2, 5), F(1, 3)
+    for weights in (
+        [twofifths, half, F(3, 7)],
+        [third, third, half],
+        [F(3, 5), F(2, 3), twofifths, half],
+        [twofifths, third, half, F(3, 7)],
+        [half, F(4, 7), twofifths, F(3, 7), F(2, 3)],
+        [F(3, 10), F(1, 4), half, twofifths, F(3, 5)],
+    ):
+        los, his, cands = stage_candidates(weights)
+        assert ops_py.scan_assoc(los, his, cands) == ops_cy.scan_assoc(
+            los, his, cands
+        ), weights
+    grid = list(range(97))
+    assert ops_py.scan_assoc(grid, grid, grid) is None
+    assert ops_cy.scan_assoc(grid, grid, grid) is None
 
 
 @skip_no_ext
@@ -145,6 +171,20 @@ def test_validate_metric_agrees():
         assert ops_py.validate_metric(n, flat) == ops_cy.validate_metric(
             n, flat
         )
+
+
+def test_fits_is_the_int64_guard():
+    # inclusive bounds at +-2**60, any offending sequence refuses, and an
+    # empty sequence (a scan with no triples) fits
+    edge = 2**60
+    assert _core._fits([edge], [-edge], [0, edge, -edge])
+    assert not _core._fits([edge + 1])
+    assert not _core._fits([-edge - 1])
+    assert not _core._fits([0, 1], [3, -edge - 1, 2])
+    assert not _core._fits([], [edge + 1, 0])
+    assert _core._fits([])
+    assert _core._fits([], [])
+    assert _core._fits()
 
 
 def test_dispatcher_falls_back_on_huge_ints():
@@ -294,7 +334,35 @@ def test_scan_assoc_matches_oracle():
             ):
                 seen.add("cut")
                 break
-    assert seen == {"finite", "union", "pass", "hit", "hit at max R", "cut"}
+    # realistic inputs of up to 32 candidates: Cantor stages of depth 1-4
+    # with strong, weak and mixed weights, and finite grids {0..N}, whole
+    # or with one point left out, on which the same sums recur across many
+    # multisets, so the pair table and the memo are read more than filled
+    half, twofifths, sevenths, third = F(1, 2), F(2, 5), F(3, 7), F(1, 3)
+    for weights in (
+        [twofifths], [half], [third],
+        [twofifths, twofifths], [half, half], [third, third],
+        [twofifths, third], [third, half],
+        [sevenths, half, twofifths], [third, twofifths, third],
+        [twofifths, half, sevenths, half], [half, third, sevenths, half],
+        [third, third, third, third],
+    ):
+        los, his, cands = stage_candidates(weights)
+        hit = oracles.first_assoc_multiset(los, his, cands)
+        assert ops_py.scan_assoc(los, his, cands) == hit, weights
+        seen.add("stage fails" if hit else "stage passes")
+        seen.add("32" if len(cands) == 32 else "fewer")
+    for top in (1, 2, 9, 17, 26, 40):
+        for hole in (None, rng.randint(1, top)):
+            pts = [v for v in range(top + 1) if v != hole]
+            hit = oracles.first_assoc_multiset(pts, pts, pts)
+            assert ops_py.scan_assoc(pts, pts, pts) == hit, (top, hole)
+            seen.add("grid fails" if hit else "grid passes")
+    assert seen == {
+        "finite", "union", "pass", "hit", "hit at max R", "cut",
+        "stage fails", "stage passes", "32", "fewer",
+        "grid fails", "grid passes",
+    }
 
 
 def test_scan_four_values_matches_oracle():
