@@ -73,6 +73,7 @@ from .rset import RSet
 from .spaces import (
     Coloring,
     KatetovFunction,
+    SaturationCapWarning,
     build_saturated_space,
     check_extension_property,
     check_universality,

@@ -1,24 +1,18 @@
-"""Kernel backend selection.
+"""Kernel backend selection: which implementation serves each kernel.
 
-The hot loops (candidate-triple associativity scans, four-values scans,
-closure rounds, all-pairs completion) run on scaled integers.  A compiled
-Cython backend is preferred when it imported successfully and every input
-fits comfortably in int64; otherwise the pure-Python backend (arbitrary
-precision) handles the call.  Both backends return the same results bit
-for bit, so they are interchangeable; their loops need not visit the
-same inputs: the Python closure round skips the sums that can only
-truncate to max R, its two scans skip the multisets that cannot fail,
-and its completion and metric check run a row at a time.  The Python
-associativity scan also truncates each candidate pair once, into a table
-read by every multiset, and each distinct outer sum once, through a memo
-local to the call; ``sup_le`` depends on the sum alone, so both return
-exactly the values the plain loop would compute.
+Three kernels go to the compiled Cython backend, where it measured faster
+(``perfbench/run.py --trace 1``, seed 7, ms per call, compiled against
+pure Python): ``scan_assoc``, 7.6 against 12.5 on set-check, and
+``validate_metric``, 0.028 against 0.30 on approx-saturate, which with
+``all_pairs_completion`` makes graph-bridge about 8x faster end to end.
+``_pick`` takes the compiled kernel when it imported and one bound read
+off the caller's image fits int64, else ``ops_py`` (arbitrary precision,
+the same results bit for bit).
 
-The subadditive closure in ``distset.approx`` calls
-``ops_py.closure_round`` directly on both backends: its semi-naive rounds
-sum only the pairs with a point the previous round added, and the
-compiled round has no cut at max R.  ``closure_step`` here serves the
-one-round candidate closure of the associativity check.
+Every other kernel is the ``ops_py`` function on every backend: the
+compiled ``check_triples`` never ran (its samples' common denominator is
+92-98 bits), and the compiled ``closure_step`` and ``scan_four_values``
+took about 1% of their workloads' op time.
 
 Set ``DISTSET_PURE_PYTHON=1`` to force the Python backend.
 """
@@ -26,6 +20,13 @@ Set ``DISTSET_PURE_PYTHON=1`` to force the Python backend.
 import os
 
 from . import ops_py
+from .ops_py import (  # served by ops_py on every backend
+    check_triples,
+    closure_round,
+    closure_step,
+    scan_four_values,
+    sup_le,
+)
 
 if os.environ.get("DISTSET_PURE_PYTHON") == "1":
     ops_cy = None
@@ -44,41 +45,24 @@ def backend_name() -> str:
     return "cython" if ops_cy is not None else "python"
 
 
-def _fits(*seqs) -> bool:
-    # every value in [-_INT64_SAFE, _INT64_SAFE]; an empty sequence fits
-    for seq in seqs:
-        if min(seq, default=0) < -_INT64_SAFE:
-            return False
-        if max(seq, default=0) > _INT64_SAFE:
-            return False
-    return True
-
-
-def _pick(*seqs):
-    if ops_cy is not None and _fits(*seqs):
+def _pick(bound: int):
+    if ops_cy is not None and bound <= _INT64_SAFE:
         return ops_cy
     return ops_py
 
 
 def scan_assoc(los, his, cands):
-    return _pick(his, cands).scan_assoc(los, his, cands)
-
-
-def check_triples(los, his, triples):
-    return _pick(his, triples).check_triples(los, his, triples)
-
-
-def scan_four_values(points):
-    return _pick(points).scan_four_values(points)
-
-
-def closure_step(points, los, his):
-    return _pick(points, his).closure_step(points, los, his)
+    # both lists ascend and are non-negative; ``cands`` may be empty
+    return _pick(max(his[-1:] + cands[-1:])).scan_assoc(los, his, cands)
 
 
 def all_pairs_completion(n, d, los, his):
-    return _pick(d, his).all_pairs_completion(n, d, los, his)
+    # entries are -1, 0 or members, so none exceeds max R
+    return _pick(his[-1]).all_pairs_completion(n, d, los, his)
 
 
 def validate_metric(n, d):
-    return _pick(d).validate_metric(n, d)
+    # user matrices: entries are not yet known to be members, so the bound
+    # is their largest magnitude, scanned only when the extension could run
+    bound = max(max(d, default=0), -min(d, default=0)) if ops_cy else 0
+    return _pick(bound).validate_metric(n, d)

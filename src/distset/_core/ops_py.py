@@ -6,10 +6,10 @@ ints.  Because the truncated sum of two set members is either an interval
 endpoint or an exact sum, the common denominator is stable under every
 operation here, so integer arithmetic stays exact.
 
-The compiled backend in ``_ops_cy.pyx`` implements the same functions,
-except ``closure_round``, which ``distset.approx`` calls directly.  Their
-results must be bit-identical; their loops need not visit the same
-inputs.
+``_ops_cy.pyx`` compiles the same functions but ``closure_round``, with
+bit-identical results; ``distset._core`` routes only ``scan_assoc``,
+``all_pairs_completion`` and ``validate_metric`` there (where it measured
+faster) and serves every other kernel from here on every backend.
 
 Set representation: two parallel sorted lists ``los``/``his`` of closed
 interval endpoints, pairwise disjoint and ascending.  Finite point sets
@@ -18,8 +18,6 @@ are the degenerate case ``los == his``.
 
 from bisect import bisect_left, bisect_right
 from operator import sub
-
-BACKEND = "python"
 
 
 def sup_le(los, his, s):

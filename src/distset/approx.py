@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from ._core import ops_py
+from ._core import closure_round
 from .errors import NonterminationError, ParameterError, SubsetError
 from .rationals import as_rational
 from .rset import RSet, scaled_with
@@ -111,7 +111,7 @@ def subadditive_closure(seed: RSet, rset: RSet) -> tuple[RSet, ClosureTrace]:
             raise NonterminationError(
                 f"closure exceeded its bound of {cap} rounds"
             )
-        nxt = ops_py.closure_round(old, fresh, los, his)
+        nxt = closure_round(old, fresh, los, his)
         if len(nxt) == len(cur):
             break
         known = set(cur)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from . import approx, cantor, checks, construction, rgraph, spaces
 from .errors import DistSetError, ParameterError
@@ -194,13 +195,17 @@ def _cmd_construct_copy(args) -> int:
 
 
 def _cmd_space_build(args) -> int:
-    space = spaces.build_saturated_space(
-        _load_rset(args.input),
-        max_points=args.max_points,
-        witness_arity=args.arity,
-        seed=args.seed,
-    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", spaces.SaturationCapWarning)
+        space = spaces.build_saturated_space(
+            _load_rset(args.input),
+            max_points=args.max_points,
+            witness_arity=args.arity,
+            seed=args.seed,
+        )
     _emit(space.to_json_obj(), args)
+    for note in caught:
+        print(f"note: {note.message}", file=sys.stderr)
     return 0
 
 

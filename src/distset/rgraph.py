@@ -30,7 +30,7 @@ from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 from . import _core
-from ._core.ops_py import sup_le
+from ._core import sup_le
 from .checks import CheckReport, VERDICT_EXHAUSTIVE, VERDICT_FAILED, check_associativity
 from .errors import (
     CheckFailedError,

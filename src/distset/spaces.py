@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -297,6 +298,10 @@ class _SaturationState:
         return (dist, f1, f2) not in self.witnessed
 
 
+class SaturationCapWarning(UserWarning):
+    """The point cap stopped :func:`build_saturated_space` short of saturation."""
+
+
 def build_saturated_space(
     values: RSet,
     max_points: int = 60,
@@ -317,7 +322,7 @@ def build_saturated_space(
     the window always contains the walk-infimum completion value, so it
     is never empty.  A pass that realizes nothing means saturation; over
     a finite value set the type universe is finite, so saturation is
-    reached unless the point cap interrupts it.
+    reached unless the point cap interrupts it: a SaturationCapWarning.
 
     The value set must contain 0 and pass the exhaustive four-values
     check, else CheckFailedError; an empty extension window (impossible
@@ -377,25 +382,30 @@ def build_saturated_space(
             i, j = rng.choice(state.instances[dist])
             realize((i, j), (f1, f2))
 
-    while len(pts) < max_points:
+    while True:
         missing = state.missing(witness_arity)
+        hit = None
         if not missing and witness_arity > 2:
             hit = _first_unrealized(d, positive, witness_arity)
-            if hit is not None:
-                realize(*hit)
-                continue
-        if not missing:
+        if not missing and hit is None:
             break
+        if len(pts) >= max_points:
+            warnings.warn(
+                f"the point cap of {max_points} stopped the build before "
+                f"saturation: a type of arity <= {witness_arity} is unrealized",
+                SaturationCapWarning,
+                stacklevel=2,
+            )
+            break
+        if hit is not None:
+            realize(*hit)
+            continue
         rng.shuffle(missing)
-        progress = False
         for req in missing:
             if len(pts) >= max_points:
                 break
             if state.still_missing(req):
                 realize_requirement(req)
-                progress = True
-        if not progress:
-            break
     flat = [x for row in d for x in row]
     return FiniteMetricSpace._from_image(values, pts, (den, los, his, flat), True)
 

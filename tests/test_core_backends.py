@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+import types
 from bisect import bisect_right
 from fractions import Fraction as F
 
@@ -173,18 +174,39 @@ def test_validate_metric_agrees():
         )
 
 
-def test_fits_is_the_int64_guard():
-    # inclusive bounds at +-2**60, any offending sequence refuses, and an
-    # empty sequence (a scan with no triples) fits
+def test_unrouted_kernels_are_the_python_ones():
+    # only scan_assoc, all_pairs_completion and validate_metric are routed;
+    # every other kernel is served by ops_py on every backend
+    for name in (
+        "check_triples", "closure_step", "scan_four_values", "closure_round",
+        "sup_le",
+    ):
+        assert getattr(_core, name) is getattr(ops_py, name), name
+
+
+def test_pick_is_the_int64_guard(monkeypatch):
+    # inclusive bound at 2**60, read off each routed kernel's input: a
+    # stand-in extension shows which backend a call went to
     edge = 2**60
-    assert _core._fits([edge], [-edge], [0, edge, -edge])
-    assert not _core._fits([edge + 1])
-    assert not _core._fits([-edge - 1])
-    assert not _core._fits([0, 1], [3, -edge - 1, 2])
-    assert not _core._fits([], [edge + 1, 0])
-    assert _core._fits([])
-    assert _core._fits([], [])
-    assert _core._fits()
+    compiled = types.SimpleNamespace(
+        scan_assoc=lambda los, his, cands: "compiled",
+        all_pairs_completion=lambda n, d, los, his: "compiled",
+        validate_metric=lambda n, d: "compiled",
+    )
+    monkeypatch.setattr(_core, "ops_cy", compiled)
+    assert _core._pick(edge) is compiled
+    assert _core._pick(edge + 1) is ops_py
+    for v in (edge, -edge):
+        assert _core.validate_metric(1, [v]) == "compiled"
+    for v in (edge + 1, -edge - 1):
+        assert _core.validate_metric(1, [v]) == ("diag", 0, 0)
+    assert _core.validate_metric(0, []) == "compiled"  # an empty matrix fits
+    assert _core.scan_assoc([0], [edge], [0, edge]) == "compiled"
+    assert _core.scan_assoc([0], [edge], []) == "compiled"
+    assert _core.scan_assoc([0], [edge + 1], [0, edge]) is None
+    assert _core.scan_assoc([0], [edge], [0, edge + 1]) is None
+    assert _core.all_pairs_completion(1, [0], [0], [edge]) == "compiled"
+    assert _core.all_pairs_completion(1, [0], [0], [edge + 1]) == [0]
 
 
 def test_dispatcher_falls_back_on_huge_ints():
@@ -194,6 +216,24 @@ def test_dispatcher_falls_back_on_huge_ints():
     # must route to the Python backend and still be exact
     assert _core.closure_step([huge], los, his) == [huge]
     assert _core.scan_four_values([0, huge]) is None
+    # the routed kernels are scale-invariant: the same answers as on the
+    # small image, which fits either backend
+    small = [0, 1, 2, 4]
+    big = [huge * v for v in small]
+    assert _core.scan_assoc(small, small, small) == (1, 1, 2)
+    assert _core.scan_assoc(big, big, big) == (1, 1, 2)
+    assert _core.scan_assoc(los, his, los) is None
+    path = [0, 1, -1, 1, 0, 2, -1, 2, 0]  # a-b-c, no edge a-c
+    done = _core.all_pairs_completion(3, list(path), small, small)
+    assert done == [0, 1, 2, 1, 0, 2, 2, 2, 0]  # 1 + 2 truncates to 2
+    assert _core.all_pairs_completion(
+        3, [huge * v for v in path], big, big
+    ) == [huge * v for v in done]
+    bad = [0, 1, 4, 1, 0, 2, 4, 2, 0]  # 4 > 1 + 2
+    assert _core.validate_metric(3, bad) == ("tri", 0, 2, 1)
+    assert _core.validate_metric(3, [huge * v for v in bad]) == ("tri", 0, 2, 1)
+    assert _core.validate_metric(3, [huge * v for v in done]) is None
+    assert _core.validate_metric(2, [0, -huge, -huge, 0]) == ("pos", 0, 1)
 
 
 def test_closure_step_matches_oracle():

@@ -198,6 +198,22 @@ class TestDepthFromJson:
 
 
 class TestSpaceCommands:
+    def test_build_notes_the_point_cap(self, capsys, tmp_path):
+        # the cap stops {0, 1, 2, 3} at 3 points with the type {p0: 1}
+        # unrealized: stdout and exit code as before, one note on stderr
+        spath = write_json(tmp_path, "s.json", RSet([0, 1, 2, 3]).to_json_obj())
+        code, out, err = run_cli(
+            capsys, "space", "build", "--input", spath, "--max-points", "3"
+        )
+        assert code == 0 and len(json.loads(out)["points"]) == 3
+        assert err.startswith("note: the point cap of 3 stopped the build")
+        assert err.count("\n") == 1
+        code, out, err = run_cli(
+            capsys, "space", "build", "--input", spath, "--max-points", "60"
+        )
+        assert code == 0 and len(json.loads(out)["points"]) == 8
+        assert err == ""
+
     def test_build_universal_extension(self, capsys, tmp_path):
         spath = write_json(tmp_path, "s.json", RSet([0, 1, 2]).to_json_obj())
         code, out, _ = run_cli(

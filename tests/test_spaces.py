@@ -1,5 +1,6 @@
 import itertools
 import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from distset import (
     FiniteMetricSpace,
     PartitionError,
     RSet,
+    SaturationCapWarning,
     build_saturated_space,
     check_extension_property,
     check_universality,
@@ -142,6 +144,25 @@ class TestSaturation:
         assert find_unrealized_katetov(m2, values, 3) is not None
         assert find_unrealized_katetov(m3, values, 3) is None
         m3.validate()
+
+    def test_point_cap_warns_exactly_when_a_type_is_unrealized(self):
+        # the cap ends the build with an unrealized type: a warning that
+        # find_unrealized_katetov confirms; a cap at or past the
+        # saturated size (8 points at arity 2, 14 at arity 3) is silent
+        for cap, arity, size, warns in (
+            (1, 1, 1, True), (3, 2, 3, True), (8, 2, 8, False),
+            (60, 2, 8, False), (10, 3, 10, True), (14, 3, 14, False),
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                m = build_saturated_space(
+                    S0123, max_points=cap, witness_arity=arity, seed=1
+                )
+            assert len(m) == size
+            unrealized = find_unrealized_katetov(m, S0123, arity) is not None
+            assert unrealized == warns, (cap, arity)
+            kinds = [w.category for w in caught]
+            assert kinds == ([SaturationCapWarning] if warns else []), (cap, arity)
 
     def test_unrealized_type_is_returned(self):
         m = FiniteMetricSpace(S012, ["a", "b"], [[0, 1], [1, 0]])
