@@ -13,6 +13,10 @@ exploits in both directions:
   triples.  A Failed verdict always carries an exact witness; a passing
   verdict on such a union is reported as heuristic.
 
+Both phases run on the set's integer image ``(den, los, his)``: the
+samples are drawn as unreduced pairs (p, q) and rescaled once to a common
+denominator, and Fractions are built only for a witness.
+
 Associativity is scanned per value multiset: the truncated sum is
 commutative, so it is associative iff for every multiset {x, y, z} the
 three grouped products agree.
@@ -29,11 +33,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from . import _core
 from .errors import ParameterError
 from .rationals import rational_str
-from .rset import RSet, scaled_with
+from .rset import RSet
 
 VERDICT_EXHAUSTIVE = "PassedExhaustive"
 VERDICT_HEURISTIC = "PassedHeuristic"
@@ -142,20 +147,52 @@ def _assoc_witness(rset: RSet, values) -> CheckReport:
     )
 
 
+def _draw(den: int, los: list, his: list, rng: random.Random, count: int):
+    """``count`` seeded random members of the set whose integer image is
+    ``(den, los, his)``, as pairs (p, q) standing for p / q.
+
+    Each draw picks an interval uniformly; a point is drawn as (lo, den),
+    otherwise q starts uniform in [1, MAX_SAMPLE_DEN] and doubles until
+    the interval contains some p / q, and p is uniform among those.  The
+    pairs are not reduced.
+    """
+    n = len(los)
+    randrange, randint = rng.randrange, rng.randint
+    out = []
+    for _ in range(count):
+        t = randrange(n)
+        lo, hi = los[t], his[t]
+        if lo == hi:
+            out.append((lo, den))
+            continue
+        q = randint(1, MAX_SAMPLE_DEN)
+        while True:
+            pmin = -(-lo * q // den)
+            pmax = hi * q // den
+            if pmin <= pmax:
+                break
+            q *= 2
+        out.append((randint(pmin, pmax), q))
+    return out
+
+
 def random_member(rset: RSet, rng: random.Random) -> Fraction:
-    """A seeded random member: uniform interval choice, then a rational
+    """One draw of the sampler: uniform interval choice, then a rational
     with bounded denominator inside it (the denominator doubles until the
     interval contains one)."""
-    lo, hi = rset.intervals[rng.randrange(len(rset.intervals))]
-    if lo == hi:
-        return lo
-    q = rng.randint(1, MAX_SAMPLE_DEN)
-    while True:
-        pmin = -(-lo.numerator * q // lo.denominator)
-        pmax = hi.numerator * q // hi.denominator
-        if pmin <= pmax:
-            return Fraction(rng.randint(pmin, pmax), q)
-        q *= 2
+    den, los, his = rset.scaled()
+    [(p, q)] = _draw(den, los, his, rng, 1)
+    return Fraction(p, q)
+
+
+def _check_budget(sample_budget) -> None:
+    # bool is an int subclass, but JSON booleans are not numbers
+    if not isinstance(sample_budget, int) or isinstance(sample_budget, bool):
+        raise ParameterError(
+            f"sample budget must be an integer, not {sample_budget!r}"
+        )
+    if sample_budget < 0:
+        raise ParameterError("sample budget must be non-negative")
 
 
 def check_associativity(
@@ -170,10 +207,11 @@ def check_associativity(
     Other interval unions are scanned exhaustively over the
     endpoint-derived candidate values and then over ``sample_budget``
     seeded random member triples; passing that way is reported as
-    PassedHeuristic with the sample count.
+    PassedHeuristic with the sample count.  The triples are drawn on the
+    integer image and checked by ``_core.check_triples`` over
+    lcm(den, their q); only a failing triple becomes Fractions.
     """
-    if sample_budget < 0:
-        raise ParameterError("sample budget must be non-negative")
+    _check_budget(sample_budget)
     if len(rset.intervals) == 1:
         return CheckReport(check="associativity", verdict=VERDICT_EXHAUSTIVE)
     den, los, his = rset.scaled()
@@ -188,14 +226,18 @@ def check_associativity(
     if finite:
         return CheckReport(check="associativity", verdict=VERDICT_EXHAUSTIVE)
 
-    rng = random.Random(seed)
-    samples = [
-        random_member(rset, rng) for _ in range(3 * sample_budget)
-    ]
-    den, los, his, ints = scaled_with(rset, samples)
-    bad = _core.check_triples(los, his, ints)
+    draws = _draw(den, los, his, random.Random(seed), 3 * sample_budget)
+    qs = {q for _, q in draws}
+    big = lcm(den, *qs)
+    scale = {q: big // q for q in qs}
+    f = big // den
+    bad = _core.check_triples(
+        [v * f for v in los],
+        [v * f for v in his],
+        [p * scale[q] for p, q in draws],
+    )
     if bad >= 0:
-        triple = samples[3 * bad : 3 * bad + 3]
+        triple = [Fraction(p, q) for p, q in draws[3 * bad : 3 * bad + 3]]
         return _assoc_witness(rset, triple)
     return CheckReport(
         check="associativity",
@@ -229,8 +271,7 @@ def check_4values(
     that empty window.  Interval unions: decided via the associativity
     check (the two conditions agree on closed sets) and relabelled.
     """
-    if sample_budget < 0:
-        raise ParameterError("sample budget must be non-negative")
+    _check_budget(sample_budget)
     if not rset.is_finite():
         rep = check_associativity(rset, sample_budget=sample_budget, seed=seed)
         return replace(

@@ -6,8 +6,9 @@ exhaustive trail enumeration, a closure round truncates the sum of every
 ordered pair and the closure repeats full rounds to the fixpoint, the
 four-values oracle quantifies over ordered quadruples straight from the
 definition, and embeddings are found by scanning every injection in
-``itertools`` order.  The multiset scans visit every
-multiset, with no cut, and random members are rounded on Fractions.  The
+``itertools`` order.  The multiset scans visit every multiset, with no
+cut; random members are rounded on Fractions, and the sampled triples
+of the associativity check are grouped by ``RSet.oplus``.  The
 completion and the metric check on flat matrices are cell-at-a-time
 triple loops.  The Katetov enumeration, the unrealized-type search, the
 eps-neighbourhood and the partition distance function compare Fraction
@@ -15,6 +16,7 @@ distances read through ``space.dist``.
 """
 
 import itertools
+import random
 from fractions import Fraction
 from math import ceil, floor
 
@@ -180,6 +182,33 @@ def random_member(rset, rng):
         if pmin <= pmax:
             return Fraction(rng.randint(pmin, pmax), q)
         q *= 2
+
+
+def sampled_assoc(rset, budget, seed):
+    """The sampling phase of ``checks.check_associativity`` on Fractions:
+    ``3 * budget`` draws of ``random_member`` from ``random.Random(seed)``,
+    the three groupings (x+y)+z, (x+z)+y and (y+z)+x of each triple by
+    ``RSet.oplus``, and the first triple whose groupings differ arranged
+    as ``checks._assoc_witness`` does: descending, with the last two
+    swapped when the descending groupings agree.
+
+    Returns ``(witness, lhs, rhs, rng)``; the first three are None when
+    every triple passes.
+    """
+    rng = random.Random(seed)
+    samples = [random_member(rset, rng) for _ in range(3 * budget)]
+    op = rset.oplus
+    for t in range(0, len(samples), 3):
+        x, y, z = samples[t : t + 3]
+        if op(op(x, y), z) == op(op(x, z), y) == op(op(y, z), x):
+            continue
+        a, b, c = sorted((x, y, z), reverse=True)
+        for b, c in ((b, c), (c, b)):
+            lhs, rhs = op(op(a, b), c), op(a, op(b, c))
+            if lhs != rhs:
+                return {"a": a, "b": b, "c": c}, lhs, rhs, rng
+        raise AssertionError("a failing triple with agreeing arrangements")
+    return None, None, None, rng
 
 
 def four_values_holds(points):

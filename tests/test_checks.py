@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 from fractions import Fraction as F
 
 import pytest
@@ -16,9 +17,11 @@ from distset import (
     check_associativity,
     recheck_witness,
 )
+from distset import checks
 from distset.checks import MAX_SAMPLE_DEN, CheckReport, random_member
+from distset.errors import ParameterError
 from conftest import random_finite_set
-from oracles import assoc_holds, four_values_holds
+from oracles import assoc_holds, four_values_holds, sampled_assoc
 from oracles import random_member as fraction_random_member
 
 MID2 = cantor_set([F(1, 3), F(1, 3)])
@@ -283,6 +286,82 @@ def test_random_member_matches_fraction_rounding():
             if lo.denominator > 1 or hi.denominator > 1:
                 seen.add("non-integer")
     assert seen == {"doubled", "point", "interval", "non-integer"}
+
+
+def _seeded_unions(rng, count):
+    """Unions of 2-4 intervals on [0, 3] with denominators 3-7, a few of
+    their intervals shrunk to points."""
+    out = []
+    for _ in range(count):
+        k, d = rng.randint(2, 4), rng.randint(3, 7)
+        ends = sorted(rng.sample(range(3 * d + 1), 2 * k))
+        out.append(RSet([
+            (F(ends[2 * i], d), F(ends[2 * i + (rng.random() > 0.15)], d))
+            for i in range(k)
+        ]))
+    return out
+
+
+def test_sampling_matches_the_fraction_path(monkeypatch):
+    # the sampling phase on the integer image against its replay on
+    # Fractions: equal reports and equal rng states afterwards, on sets
+    # whose candidate scan passes (only they reach the samples)
+    made = []
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(checks, "random", SimpleNamespace(Random=Recording))
+    rng = random.Random(13)
+    stages = [
+        cantor_set([rng.choice((F(2, 5), F(1, 2), F(3, 5))) for _ in range(d)])
+        for d in (1, 1, 2, 2, 3)
+    ]
+    seen = set()
+    for i, rset in enumerate(_seeded_unions(rng, 80) + stages):
+        if check_associativity(rset, 0).verdict != VERDICT_HEURISTIC:
+            continue
+        runs = [(b, s) for b in (0, 7, 50) for s in (0, 5, 3 + i)]
+        if i % 3 == 0:
+            runs.append((500, i))
+        for budget, seed in runs:
+            made.clear()
+            rep = check_associativity(rset, budget, seed)
+            witness, lhs, rhs, ref = sampled_assoc(rset, budget, seed)
+            assert [r.getstate() for r in made] == [ref.getstate()]
+            assert (rep.witness, rep.lhs, rep.rhs) == (witness, lhs, rhs)
+            if witness is None:
+                assert rep == CheckReport(
+                    check="associativity",
+                    verdict=VERDICT_HEURISTIC,
+                    sample_count=budget,
+                )
+                seen.add("passes")
+            else:
+                assert rep.verdict == VERDICT_FAILED
+                assert recheck_witness(rset, rep)
+                seen.add("fails only through sampling")
+            seen.add("stage" if rset in stages else "union")
+            if budget == 500:
+                seen.add("budget 500")
+    assert seen == {
+        "passes", "fails only through sampling", "stage", "union",
+        "budget 500",
+    }
+
+
+@pytest.mark.parametrize("budget", [True, False, 2.0, "50", None])
+def test_sample_budget_must_be_a_plain_int(budget):
+    # JSON booleans are not numbers; a float or string is no budget
+    for rset in (cantor_set([F(2, 5)]), RSet([0, 1, 3]), RSet([(0, 1)])):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            check_associativity(rset, sample_budget=budget)
+        with pytest.raises(ParameterError, match="must be an integer"):
+            check_4values(rset, sample_budget=budget)
+    with pytest.raises(ParameterError, match="non-negative"):
+        check_4values(cantor_set([F(2, 5)]), sample_budget=-1)
 
 
 def test_report_json_shape():
