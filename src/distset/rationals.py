@@ -1,4 +1,5 @@
-"""Helpers around exact rational scalars.
+"""Helpers around exact rational scalars and the JSON lists that carry
+them.
 
 All quantities in this library are :class:`fractions.Fraction` values;
 floating point is never used (suprema and boundary comparisons must be
@@ -13,6 +14,14 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import ParameterError
+
+def as_list(value) -> list:
+    """``list(value)``; a ``str`` or a ``dict`` is never the list of its
+    characters or keys, so it raises TypeError, as a non-iterable does."""
+    if isinstance(value, (str, dict)):
+        raise TypeError(f"not a list: {value!r}")
+    return list(value)
+
 
 def as_rational(value) -> Fraction:
     """Coerce ``value`` (Fraction, int, or ``"p/q"`` string) to a Fraction.

@@ -41,7 +41,7 @@ from .errors import (
     NotMetricError,
     ParameterError,
 )
-from .rationals import as_rational, rational_str
+from .rationals import as_list, as_rational, rational_str
 from .rset import RSet, scaled_with
 
 ZERO = Fraction(0)
@@ -81,7 +81,7 @@ class RGraph:
         if not ground_set.contains(0):
             raise ParameterError("the ground set must contain 0")
         try:
-            vs = tuple(str(v) for v in vertices)
+            vs = tuple(str(v) for v in as_list(vertices))
         except TypeError as exc:
             raise ParameterError(f"vertices must be a list: {vertices!r}") from exc
         if len(set(vs)) != len(vs):
@@ -93,12 +93,12 @@ class RGraph:
         self._index = {v: i for i, v in enumerate(vs)}
         weights: dict[tuple[int, int], Fraction] = {}
         try:
-            edges = list(edges)
+            edges = as_list(edges)
         except TypeError as exc:
             raise ParameterError(f"edges must be a list: {edges!r}") from exc
         for item in edges:
             try:
-                u, v, w = item
+                u, v, w = as_list(item)
             except (TypeError, ValueError) as exc:
                 raise ParameterError(
                     f"an edge needs two endpoints and a weight: {item!r}"
@@ -226,10 +226,11 @@ class FiniteMetricSpace:
     of ints ``_flat`` over one denominator ``_den``, a multiple of the
     ground set's, with the set's interval endpoints ``_los``/``_his``
     scaled to it.  Fraction distances are decoded on access, and
-    :meth:`_int_rows` hands the image to the searches.  Validation checks
-    the metric axioms (kernel-assisted) and that every entry belongs to
-    the ground set, both on the image.  Pass ``validate=False`` only for
-    matrices produced by operations that guarantee validity.
+    :meth:`_int_rows` hands the image to the searches.  Input is checked
+    where it enters: the constructor and :meth:`validate` check the metric
+    axioms (kernel-assisted) and that every entry belongs to the ground
+    set, on the image.  Spaces the library builds are metric by
+    construction and enter unchecked through :meth:`_from_image`.
     """
 
     __slots__ = ("_ground", "_points", "_index", "_den", "_los", "_his", "_flat")
@@ -244,6 +245,7 @@ class FiniteMetricSpace:
         self._set_points(points)
         n = len(self._points)
         try:
+            dist = [as_list(row) for row in as_list(dist)]
             square = len(dist) == n and all(len(row) == n for row in dist)
         except TypeError:
             square = False
@@ -257,19 +259,19 @@ class FiniteMetricSpace:
             self.validate()
 
     @classmethod
-    def _from_image(cls, ground_set, points, image, validate):
-        """A space on the integer image ``(den, los, his, flat)``."""
+    def _from_image(cls, ground_set, points, image):
+        """A space on the integer image ``(den, los, his, flat)``, trusted:
+        only the library calls it, on a matrix it built to be metric over
+        the ground set.  Only the point ids are checked."""
         self = cls.__new__(cls)
         self._set_points(points)
         self._ground = ground_set
         self._den, self._los, self._his, self._flat = image
-        if validate:
-            self.validate()
         return self
 
     def _set_points(self, points) -> None:
         try:
-            self._points = tuple(str(p) for p in points)
+            self._points = tuple(str(p) for p in as_list(points))
         except TypeError as exc:
             raise ParameterError(f"points must be a list: {points!r}") from exc
         if len(set(self._points)) != len(self._points):
@@ -353,17 +355,15 @@ class FiniteMetricSpace:
             self._ground,
             [self._points[i] for i in idx],
             (self._den, self._los, self._his, sub),
-            validate=False,
         )
 
+    def _edges(self) -> list[tuple[str, str, Fraction]]:
+        """Every pair of points with its distance, in index order."""
+        pts, d, n = self._points, self.matrix(), len(self._points)
+        return [(pts[i], pts[j], d[i][j]) for i in range(n) for j in range(i + 1, n)]
+
     def as_rgraph(self) -> RGraph:
-        pts, d = self._points, self.matrix()
-        edges = [
-            (pts[i], pts[j], d[i][j])
-            for i in range(len(pts))
-            for j in range(i + 1, len(pts))
-        ]
-        return RGraph(self._ground, pts, edges)
+        return RGraph(self._ground, self._points, self._edges())
 
     def to_json_obj(self) -> dict:
         return {
@@ -624,9 +624,9 @@ def complete_to_metric_space(graph: RGraph) -> FiniteMetricSpace:
                 f"{Fraction(s, graph._den)} is beaten by a walk of weight "
                 f"{Fraction(flat[i * n + j], graph._den)}"
             )
-    return FiniteMetricSpace._from_image(
-        graph.ground_set,
-        graph.vertices,
-        (graph._den, graph._los, graph._his, flat),
-        validate=True,
-    )
+    image = (graph._den, graph._los, graph._his, flat)
+    space = FiniteMetricSpace._from_image(graph.ground_set, graph.vertices, image)
+    # the one re-check of a built output: a PassedHeuristic ground set may
+    # not be associative, and then the closure need not be metric
+    space.validate()
+    return space

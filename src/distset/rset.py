@@ -28,7 +28,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import MembershipError, ParameterError, RangeError
-from .rationals import as_rational, lcm_denominator, rational_str
+from .rationals import as_list, as_rational, lcm_denominator, rational_str
 
 class RSet:
     """A nonempty finite union of closed rational intervals in [0, inf).
@@ -285,7 +285,7 @@ class RSet:
         if not isinstance(obj, dict) or "intervals" not in obj:
             raise ParameterError("set JSON must carry an 'intervals' key")
         try:
-            pairs = [tuple(pair) for pair in obj["intervals"]]
+            pairs = [tuple(as_list(pair)) for pair in as_list(obj["intervals"])]
         except TypeError as exc:
             raise ParameterError(
                 "set JSON 'intervals' must list [lo, hi] pairs"

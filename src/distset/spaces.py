@@ -99,13 +99,10 @@ class Coloring:
         given = obj.get("parts", {}) if isinstance(obj, dict) else None
         if not isinstance(given, dict):
             raise ParameterError("colouring JSON must map 'parts' to an object")
-        parts = {}
         for p, c in given.items():
-            try:
-                parts[str(p)] = int(c)
-            except (TypeError, ValueError) as exc:
-                raise ParameterError(f"colour {c!r} of {p} is not an integer") from exc
-        return cls(parts=parts)
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise ParameterError(f"colour {c!r} of {p} is not an integer")
+        return cls(parts={str(p): c for p, c in given.items()})
 
 
 def eps_neighborhood(
@@ -317,12 +314,17 @@ def build_saturated_space(
     distances; no finite space can witness every prescription over every
     concrete base, so saturation is stated per type), visits them in a
     seeded random order and realizes each over a seeded choice of base
-    instance.  The new point's distances to the remaining points are
-    drawn (seeded) from the exact admissible window each point allows;
-    the window always contains the walk-infimum completion value, so it
-    is never empty.  A pass that realizes nothing means saturation; over
-    a finite value set the type universe is finite, so saturation is
-    reached unless the point cap interrupts it: a SaturationCapWarning.
+    instance.  The new point's other distances are drawn (seeded) from
+    the values in the exact window [max |row[x] - d[x][w]|,
+    min row[x] + d[x][w]] over every point x already fixed; it always
+    holds the walk-infimum completion value, so it is never empty.  A
+    pass that realizes nothing means saturation; over a finite value set
+    the type universe is finite, so saturation is reached unless the
+    point cap interrupts it: a SaturationCapWarning.
+
+    The result is not re-validated: those windows, Katetov prescriptions,
+    a zero diagonal and symmetric rows make it metric over the value set,
+    whether or not the truncated sum is associative.
 
     The value set must contain 0 and pass the exhaustive four-values
     check, else CheckFailedError; an empty extension window (impossible
@@ -407,7 +409,7 @@ def build_saturated_space(
             if state.still_missing(req):
                 realize_requirement(req)
     flat = [x for row in d for x in row]
-    return FiniteMetricSpace._from_image(values, pts, (den, los, his, flat), True)
+    return FiniteMetricSpace._from_image(values, pts, (den, los, his, flat))
 
 
 # -- embedding searches ------------------------------------------------------
@@ -722,13 +724,11 @@ def indivisibility_search(
     dist, tgt = space._int_rows(den), target._int_rows(den)
     for colour in coloring.classes():
         inside = coloring.class_points(colour)
-        if e == 0:
-            candidates = [p for p in space.points if p in set(inside)]
-        else:
-            candidates = eps_neighborhood(space, inside, e)
-        if len(candidates) < len(target.points):
+        if e > 0:
+            inside = eps_neighborhood(space, inside, e)
+        cands = sorted(space.index(p) for p in inside)  # in point order
+        if len(cands) < len(target.points):
             continue
-        cands = [space.index(p) for p in candidates]
         hit = _embed(dist, tgt, cands, counter, "embedding search")
         if hit is not None:
             return colour, {

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ from distset import (
     MetricityError,
     NotAnEmbeddingError,
     NotMetricError,
+    ParameterError,
     build_bridge_graph,
     build_H_and_L,
     build_tree,
@@ -19,8 +21,46 @@ from distset import (
     is_metric,
     maximal_branch_lengths,
 )
-from distset import construction
+from distset import RSet, construction
 from conftest import random_metric_space
+
+HALVES = RSet([0, F(1, 2), 1, F(3, 2), 2])
+
+
+def seeded_bridges(seed, count):
+    """Bridges whose V moves each paired distance of U by at most r, over
+    RSet([0, 1, 2, 3]) and ``HALVES``: gaps of 0, below r and equal to r."""
+    rng = random.Random(seed)
+    bridges = []
+    while len(bridges) < count:
+        ground = rng.choice([RSet([0, 1, 2, 3]), HALVES])
+        positive = [v for v in ground.points() if v > 0]
+        n = rng.randint(2, 5)
+        space_u = random_metric_space(rng, ground, n, prefix="u")
+        idx = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+        r = rng.choice(positive)
+        d = space_u.subspace([space_u.points[i] for i in idx]).matrix()
+        for a, b in itertools.combinations(range(len(idx)), 2):
+            d[a][b] = d[b][a] = rng.choice(
+                [v for v in positive if abs(v - d[a][b]) <= r]
+            )
+        try:
+            space_v = FiniteMetricSpace(ground, [f"v{i}" for i in idx], d)
+        except ParameterError:
+            continue  # the moved distances break a triangle
+        bridges.append(BridgeInput(ground, space_u, space_v, idx, r))
+    return bridges
+
+
+def gaps(bridge):
+    """The paired distance gaps |d_U(u_i, u_j) - d_V(v_i, v_j)|."""
+    return [
+        abs(
+            bridge.space_u.dist_by_index(bridge.index_map[a], bridge.index_map[b])
+            - bridge.space_v.dist_by_index(a, b)
+        )
+        for a, b in itertools.combinations(range(len(bridge.index_map)), 2)
+    ]
 
 
 class TestBridgeInput:
@@ -121,13 +161,16 @@ class TestCompanion:
         assert w.dist("w0", "w1") == space_v.dist("v0", "v1")
 
     def test_random_bound(self, ground_0123):
+        # V the paired subspace of U (gap 0), then V moved within r (gaps
+        # of 0, below r and equal to r); W is built unvalidated, so it
+        # must also pass validate()
         rng = random.Random(13)
+        bridges = seeded_bridges(29, 25)
         for _ in range(15):
             n = rng.randint(2, 5)
             space_u = random_metric_space(rng, ground_0123, n, prefix="u")
             size = rng.randint(0, n)
             idx = tuple(sorted(rng.sample(range(n), size)))
-            # V = the paired subspace of U itself (gap 0 <= r)
             sub = space_u.subspace([space_u.points[i] for i in idx])
             space_v = FiniteMetricSpace(
                 ground_0123,
@@ -135,20 +178,24 @@ class TestCompanion:
                 sub.matrix(),
                 validate=False,
             )
-            bridge = BridgeInput(
+            bridges.append(BridgeInput(
                 ground_set=ground_0123,
                 space_u=space_u,
                 space_v=space_v,
                 index_map=idx,
                 r=F(1),
-            )
+            ))
+        for bridge in bridges:
             w = derive_companion_W(bridge)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    gap = abs(
-                        space_u.dist_by_index(i, j) - w.dist_by_index(i, j)
-                    )
-                    assert gap <= bridge.r
+            w.validate()
+            u = bridge.space_u
+            for i, j in itertools.combinations(range(len(u.points)), 2):
+                gap = abs(u.dist_by_index(i, j) - w.dist_by_index(i, j))
+                assert gap <= bridge.r
+        found = [(g, b.r) for b in bridges for g in gaps(b)]
+        assert any(g == 0 for g, _ in found)
+        assert any(0 < g < r for g, r in found)
+        assert any(g == r for g, r in found)
 
 
 class TestTree:
@@ -218,6 +265,15 @@ class TestHAndL:
         for i, p in enumerate(u.points):
             for j in range(i + 1, len(u.points)):
                 assert space_l.dist(p, u.points[j]) == u.dist_by_index(i, j)
+        # L is not re-checked against U: on seeded bridges it passes
+        # validate() and restricts to U exactly
+        for bridge in seeded_bridges(31, 12):
+            u = bridge.space_u
+            for depth in range(1, min(3, len(u.points)) + 1):
+                graph_h, space_l = build_H_and_L(bridge, depth)
+                assert is_metric(graph_h).passed
+                space_l.validate()
+                assert space_l.subspace(u.points).matrix() == u.matrix()
 
     def test_depth_one_star(self, desk_bridge):
         graph_h, space_l = build_H_and_L(desk_bridge, 1)
@@ -234,6 +290,19 @@ class TestHAndL:
                 nb, ub = chain[b]
                 gap = abs(graph_h.weight(na, nb) - u.dist(ua, ub))
                 assert gap <= desk_bridge.r
+        # the bound is not re-checked by build_H_and_L: it holds on every
+        # tree edge of seeded bridges, gaps below r among them
+        for bridge in [desk_bridge, *seeded_bridges(31, 12)]:
+            u = bridge.space_u
+            for depth in range(1, min(3, len(u.points)) + 1):
+                graph_h, _ = build_H_and_L(bridge, depth)
+                nodes = set(graph_h.vertices) - set(u.points)
+                for a, b, weight in graph_h.edges():
+                    if a in nodes and b in nodes:
+                        anchor_a = u.points[int(a.split(".")[-1].lstrip("t"))]
+                        anchor_b = u.points[int(b.split(".")[-1].lstrip("t"))]
+                        gap = abs(weight - u.dist(anchor_a, anchor_b))
+                        assert gap <= bridge.r
 
     def test_non_metric_h_is_a_metricity_error(self, desk_bridge, monkeypatch):
         # H's metricity is checked by its completion; the construction

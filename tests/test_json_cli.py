@@ -357,6 +357,47 @@ class TestCliContract:
             ("space", "extension", "--k", "1", "--space", write_json(
                 tmp_path, "p5.json", {"set": grid, "points": 5, "dist": []}
             )),
+            # a string or an object is never a list, and a colour is an
+            # int, not a bool
+            ("set", "check", "--input", write_json(
+                tmp_path, "s02.json", {"intervals": ["02", [3, 3]]}
+            )),
+            ("set", "check", "--input", write_json(
+                tmp_path, "s02d.json", {"intervals": [{"0": 1, "2": 5}, [3, 3]]}
+            )),
+            ("graph", "complete", "--graph", write_json(
+                tmp_path, "vab.json",
+                {"set": grid, "vertices": "ab", "edges": [["a", "b", "1"]]},
+            )),
+            ("graph", "complete", "--graph", write_json(
+                tmp_path, "vabd.json", {
+                    "set": grid, "vertices": {"a": 0, "b": 1},
+                    "edges": [["a", "b", "1"]],
+                },
+            )),
+            ("graph", "complete", "--graph", write_json(
+                tmp_path, "eab.json",
+                {"set": grid, "vertices": ["a", "b"], "edges": ["ab1"]},
+            )),
+            ("graph", "complete", "--graph", write_json(
+                tmp_path, "eabd.json", {
+                    "set": grid, "vertices": ["a", "b"],
+                    "edges": [{"a": 0, "b": 0, "1": 0}],
+                },
+            )),
+            ("space", "extension", "--k", "1", "--space", write_json(
+                tmp_path, "pab.json", {**space_obj, "points": "pq"}
+            )),
+            ("space", "extension", "--k", "1", "--space", write_json(
+                tmp_path, "d01.json", {**space_obj, "dist": ["01", "10"]}
+            )),
+            *[
+                ("space", "color", "--space", space, "--target", space,
+                 "--coloring", write_json(
+                     tmp_path, f"c{n}.json", {"parts": {"p": colour, "q": 1}}
+                 ))
+                for n, colour in enumerate([1.5, True, "2"])
+            ],
         ]
         bridge = desk_bridge.to_json_obj()
         for n, (key, value) in enumerate([

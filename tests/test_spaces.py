@@ -127,13 +127,27 @@ class TestSaturation:
         assert a.to_json_obj() == b.to_json_obj()
 
     def test_result_passes_validation(self):
-        # mixed denominators; the space comes from the builder's own ints
-        values = RSet([0, F(1, 3), F(1, 2), F(5, 6), 1])
-        m = build_saturated_space(values, max_points=30, seed=2)
-        m.validate()
-        again = FiniteMetricSpace(values, m.points, m.matrix())
-        assert (again._den, again._flat) == (m._den, m._flat)
-        assert find_unrealized_katetov(m, values, 2) is None
+        # the builder hands its result over unvalidated, so every value
+        # set (mixed denominators among them), arity and seed must give a
+        # metric space over the set, which the public constructor reads
+        # back to the same image; the cap of 12 binds at arity 3, no other
+        mixed = RSet([0, F(1, 3), F(1, 2), F(5, 6), 1])
+        for values, cap in (
+            (mixed, 12), (S012, 30), (S0123, 16), (RSet([0, 1, 3]), 30),
+            (RSet([0, F(1, 2), 1, F(3, 2), 2]), 12), (RSet([0, 2, 3]), 30),
+        ):
+            for arity in (1, 2, 3):
+                for seed in (0, 2, 9):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", SaturationCapWarning)
+                        m = build_saturated_space(
+                            values, max_points=cap, witness_arity=arity, seed=seed
+                        )
+                    m.validate()
+                    again = FiniteMetricSpace(values, m.points, m.matrix())
+                    assert (again._den, again._flat) == (m._den, m._flat)
+        m = build_saturated_space(mixed, max_points=30, seed=2)
+        assert find_unrealized_katetov(m, mixed, 2) is None
 
     def test_arity_three_pass(self):
         # the generic pass beyond arity 2 adds points the pair types miss
