@@ -1,20 +1,22 @@
 """Kernel backend selection: which implementation serves each kernel.
 
-Three kernels go to the compiled Cython backend, where it measured faster
-(``perfbench/run.py --trace 1``, seed 7, ms per call, compiled against
-pure Python): ``scan_assoc``, 7.6 against 12.5 on set-check, and
-``validate_metric``, 0.028 against 0.30 on approx-saturate, which with
-``all_pairs_completion`` makes graph-bridge about 8x faster end to end.
-``_pick`` takes the compiled kernel when it imported and one bound read
-off the caller's image fits int64, else ``ops_py`` (arbitrary precision,
-the same results bit for bit).
+Two kernels go to the compiled Cython backend, where it measured faster:
+with ``all_pairs_completion`` and ``validate_metric`` compiled,
+graph-bridge runs 99.8 ops/s against 18.5 on pure Python with its
+packed-row completion (``perfbench/run.py``, seed 1501, 20 s, untraced,
+2-core x86_64, Python 3.11).  ``_pick`` takes the compiled kernel when it
+imported and one bound read off the caller's image fits int64, else
+``ops_py`` (arbitrary precision, the same results bit for bit).
 
-Every other kernel is the ``ops_py`` function on every backend: the
-compiled ``check_triples`` never ran (its samples' common denominator,
-the lcm of the set's denominator and the samples' unreduced q, is 90-110
-bits, median 95, on set-check's Cantor stages), and the compiled
-``closure_step`` and ``scan_four_values`` took about 1% of their
-workloads' op time.
+Every other kernel is the ``ops_py`` function on every backend.  The
+compiled ``scan_assoc`` was 2.7x slower on the grid {0..256} and as fast
+on the depth-6 Cantor stages that dominate set-check's scan time (396
+against 400 ms over 20 scans, best of 5); on shallower stages it saved
+0.1-0.9 ms a scan.  The compiled ``check_triples`` never ran (its
+samples' common denominator, the lcm of the set's denominator and the
+samples' unreduced q, is 90-110 bits, median 95, on set-check's Cantor
+stages), and the compiled ``closure_step`` and ``scan_four_values`` took
+about 1% of their workloads' op time.
 
 Set ``DISTSET_PURE_PYTHON=1`` to force the Python backend.
 """
@@ -26,6 +28,7 @@ from .ops_py import (  # served by ops_py on every backend
     check_triples,
     closure_round,
     closure_step,
+    scan_assoc,
     scan_four_values,
     sup_le,
 )
@@ -51,11 +54,6 @@ def _pick(bound: int):
     if ops_cy is not None and bound <= _INT64_SAFE:
         return ops_cy
     return ops_py
-
-
-def scan_assoc(los, his, cands):
-    # both lists ascend and are non-negative; ``cands`` may be empty
-    return _pick(max(his[-1:] + cands[-1:])).scan_assoc(los, his, cands)
 
 
 def all_pairs_completion(n, d, los, his):

@@ -7,7 +7,7 @@ endpoint or an exact sum, the common denominator is stable under every
 operation here, so integer arithmetic stays exact.
 
 ``_ops_cy.pyx`` compiles the same functions but ``closure_round``, with
-bit-identical results; ``distset._core`` routes only ``scan_assoc``,
+bit-identical results; ``distset._core`` routes only
 ``all_pairs_completion`` and ``validate_metric`` there (where it measured
 faster) and serves every other kernel from here on every backend.
 
@@ -205,22 +205,45 @@ def all_pairs_completion(n, d, los, his):
     distributes over min and never decreases when extended, so the
     standard triple loop computes the infimum over all walks.
 
-    It runs a row at a time on the sentinel ``2 * max R + 1`` for absent
-    edges, above every sum of two members.  Entries are members and
-    ``sup_le(s) <= s`` is monotone, so ``sup_le(s) < cur`` iff ``s < cur``:
-    only those cells are truncated.  Row k is fixed in round k (d_kk = 0).
+    Absent edges hold the sentinel ``absent = 2 * max R + 1``, above every
+    sum of two members.  Entries are members and ``sup_le(s) <= s`` is
+    monotone, so ``sup_le(s) < cur`` iff ``s < cur``: only those cells are
+    truncated.  Row k is fixed in round k (d_kk = 0).
+
+    Each row is also packed into one int, entry j in the b-bit field at
+    bit b * j (SWAR), so round k compares row i with row k in a few
+    big-int operations.  Every sum d_ik + d_kj is at most
+    ``max R + absent``, and b is one bit wider than that sum needs, so
+    ``(P_i | HIGH) - (P_k + (d_ik + 1) * ONES)`` never borrows across a
+    field and leaves field j's top bit set exactly when
+    d_ik + d_kj < d_ij.  Only the cells of those bits are truncated, in
+    ascending j, with the same values as the plain triple loop.  The
+    width follows max R, so ints of any size pack exactly.
     """
     absent = 2 * his[-1] + 1
+    b = (his[-1] + absent).bit_length() + 1
     flat = [absent if v < 0 else v for v in d]
     rows = [flat[i * n : i * n + n] for i in range(n)]
-    cols = range(n)
+    shifts = range(0, b * n, b)
+    ones = sum(1 << s for s in shifts)
+    high = ones << (b - 1)
+    packed = [sum(v << s for v, s in zip(row, shifts)) for row in rows]
     for k, row_k in enumerate(rows):
-        for row_i in rows:
+        base = packed[k] + ones
+        for i, row_i in enumerate(rows):
             dik = row_i[k]
             if dik == absent:
                 continue
-            for j in [j for j, v, c in zip(cols, row_k, row_i) if dik + v < c]:
-                row_i[j] = sup_le(los, his, dik + row_k[j])
+            p = packed[i]
+            m = ((p | high) - (base + dik * ones)) & high
+            while m:
+                low = m & -m
+                j = low.bit_length() // b - 1
+                v = sup_le(los, his, dik + row_k[j])
+                p += (v - row_i[j]) << (b * j)
+                row_i[j] = v
+                m ^= low
+            packed[i] = p
     d[:] = [-1 if v == absent else v for row in rows for v in row]
     return d
 

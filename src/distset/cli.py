@@ -240,11 +240,7 @@ def _cmd_space_color(args) -> int:
 
 def _cmd_space_oscillate(args) -> int:
     space = _load_space(args.space)
-    func_obj = _load_json(args.f)
-    values = func_obj.get("values", {}) if isinstance(func_obj, dict) else None
-    if not isinstance(values, dict):
-        raise ParameterError("function JSON must map 'values' to an object")
-    func = {str(p): as_rational(v) for p, v in values.items()}
+    func = spaces.KatetovFunction.from_json_obj(_load_json(args.f)).values
     target = _load_space(args.target)
     hit = spaces.oscillation_search(
         space, func, as_rational(args.eps), target, budget=args.budget

@@ -73,9 +73,10 @@ class KatetovFunction:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "KatetovFunction":
-        values = {
-            str(p): as_rational(v) for p, v in obj.get("values", {}).items()
-        }
+        given = obj.get("values", {}) if isinstance(obj, dict) else None
+        if not isinstance(given, dict):
+            raise ParameterError("function JSON must map 'values' to an object")
+        values = {str(p): as_rational(v) for p, v in given.items()}
         return cls(domain=tuple(sorted(values)), values=values)
 
 

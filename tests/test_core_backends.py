@@ -12,6 +12,8 @@ import pytest
 from distset import _core
 from distset._core import ops_py
 from distset.cantor import cantor_set
+from distset.checks import VERDICT_EXHAUSTIVE, check_associativity
+from distset.rset import RSet
 
 import oracles
 
@@ -139,7 +141,7 @@ def test_all_pairs_completion_agrees():
         weights = [h for h in his if h > 0]
         if not weights:
             continue
-        n = rng.randint(1, 7)
+        n = rng.randint(1, 40)  # rows of up to 40 fields in ops_py
         flat = [-1] * (n * n)
         for i in range(n):
             flat[i * n + i] = 0
@@ -175,11 +177,11 @@ def test_validate_metric_agrees():
 
 
 def test_unrouted_kernels_are_the_python_ones():
-    # only scan_assoc, all_pairs_completion and validate_metric are routed;
-    # every other kernel is served by ops_py on every backend
+    # only all_pairs_completion and validate_metric are routed; every
+    # other kernel is served by ops_py on every backend
     for name in (
         "check_triples", "closure_step", "scan_four_values", "closure_round",
-        "sup_le",
+        "sup_le", "scan_assoc",
     ):
         assert getattr(_core, name) is getattr(ops_py, name), name
 
@@ -189,7 +191,6 @@ def test_pick_is_the_int64_guard(monkeypatch):
     # stand-in extension shows which backend a call went to
     edge = 2**60
     compiled = types.SimpleNamespace(
-        scan_assoc=lambda los, his, cands: "compiled",
         all_pairs_completion=lambda n, d, los, his: "compiled",
         validate_metric=lambda n, d: "compiled",
     )
@@ -201,10 +202,6 @@ def test_pick_is_the_int64_guard(monkeypatch):
     for v in (edge + 1, -edge - 1):
         assert _core.validate_metric(1, [v]) == ("diag", 0, 0)
     assert _core.validate_metric(0, []) == "compiled"  # an empty matrix fits
-    assert _core.scan_assoc([0], [edge], [0, edge]) == "compiled"
-    assert _core.scan_assoc([0], [edge], []) == "compiled"
-    assert _core.scan_assoc([0], [edge + 1], [0, edge]) is None
-    assert _core.scan_assoc([0], [edge], [0, edge + 1]) is None
     assert _core.all_pairs_completion(1, [0], [0], [edge]) == "compiled"
     assert _core.all_pairs_completion(1, [0], [0], [edge + 1]) == [0]
 
@@ -216,13 +213,13 @@ def test_dispatcher_falls_back_on_huge_ints():
     # must route to the Python backend and still be exact
     assert _core.closure_step([huge], los, his) == [huge]
     assert _core.scan_four_values([0, huge]) is None
-    # the routed kernels are scale-invariant: the same answers as on the
-    # small image, which fits either backend
+    assert _core.scan_assoc(los, his, los) is None
+    # the kernels are scale-invariant: the same answers as on the small
+    # image, which fits either backend
     small = [0, 1, 2, 4]
     big = [huge * v for v in small]
     assert _core.scan_assoc(small, small, small) == (1, 1, 2)
     assert _core.scan_assoc(big, big, big) == (1, 1, 2)
-    assert _core.scan_assoc(los, his, los) is None
     path = [0, 1, -1, 1, 0, 2, -1, 2, 0]  # a-b-c, no edge a-c
     done = _core.all_pairs_completion(3, list(path), small, small)
     assert done == [0, 1, 2, 1, 0, 2, 2, 2, 0]  # 1 + 2 truncates to 2
@@ -443,35 +440,105 @@ def random_graph_matrix(rng, los, his, n, p):
     return flat
 
 
-def test_all_pairs_completion_matches_oracle():
-    # row-wise kernel against the cell-at-a-time triple loop, extension
-    # or not; the inputs reach truncated walk sums, disconnected graphs
-    # that keep -1, and graphs whose every pair is an edge
+def completion_cases():
+    """The seeded ``(los, his, n, flat)`` inputs of the completion oracle
+    test.  After 400 small graphs over random sets come 16 graphs over
+    {0, 1} (max R = 1, the narrowest field), 16 over random sets and 8
+    over one interval [0, M], of up to 40 vertices, so a packed row
+    spans several machine words.  Every fourth graph is scaled by 2**70,
+    so its fields are wider than 64 bits."""
     rng = random.Random(11)
-    seen = set()
-    for case in range(400):
-        los, his = random_set_arrays(rng, max_points=6, top=60)
+    for case in range(440):
+        if case < 400:
+            los, his = random_set_arrays(rng, max_points=6, top=60)
+            sizes = (1, 9)
+        elif case < 416:
+            los = his = [0, 1]
+            sizes = (2, 40)
+        elif case < 432:
+            los, his = random_set_arrays(rng, max_points=4, top=60)
+            sizes = (20, 40)
+        else:
+            los, his = [0], [rng.randint(1, 60)]
+            sizes = (20, 40)
         if los[0] > 0:  # ground sets carry 0; the kernel assumes it
             los, his = [0] + los, [0] + his
         if his[-1] == 0:
             continue
-        n = rng.randint(1, 9)
-        flat = random_graph_matrix(rng, los, his, n, rng.choice((0.2, 0.5, 1.0)))
+        n = rng.randint(*sizes)
+        p = rng.choice((0.2, 0.5, 1.0) if n < 10 else (0.04, 0.1, 0.5))
+        flat = random_graph_matrix(rng, los, his, n, p)
+        if case % 4 == 3:
+            big = 2**70
+            los, his = [big * v for v in los], [big * v for v in his]
+            flat = [big * v if v > 0 else v for v in flat]
+        yield los, his, n, flat
+
+
+def test_all_pairs_completion_matches_oracle():
+    # packed-row kernel against the cell-at-a-time triple loop, extension
+    # or not; the inputs reach truncated walk sums, disconnected graphs
+    # that keep -1, graphs whose every pair is an edge, vertices with no
+    # edge, and a sum at the largest value a field holds: an edge i-k of
+    # weight max R while k has no walk to some j, so round k forms
+    # d_ik + absent = max R + absent
+    seen = set()
+    for los, his, n, flat in completion_cases():
+        top = his[-1]
         want = oracles.all_pairs_completion(n, list(flat), los, his)
         given = list(flat)
         got = ops_py.all_pairs_completion(n, given, los, his)
         assert got is given and given == want, (n, flat, los, his)
-        untruncated = oracles.all_pairs_completion(n, list(flat), [0], [n * his[-1]])
+        untruncated = oracles.all_pairs_completion(n, list(flat), [0], [n * top])
         seen.add("finite" if los == his else "union")
+        seen.add("max R = 1" if top == 1 else "wide" if top > 2**64 else "narrow")
+        if n >= 20:
+            seen.add("many fields")
         if want != untruncated:
             seen.add("truncated" if los == his else "truncated in a gap")
         if -1 in want:
             seen.add("disconnected")
         if -1 not in flat:
             seen.add("complete graph")
+        rows = [flat[i * n : i * n + n] for i in range(n)]
+        if n > 1 and any(row.count(-1) == n - 1 for row in rows):
+            seen.add("isolated vertex")
+        if any(
+            flat[i * n + k] == top == want[i * n + k] and -1 in want[k * n : k * n + n]
+            for i in range(n)
+            for k in range(n)
+        ):
+            seen.add("sum at field max")
     assert seen == {
-        "finite", "union", "truncated", "truncated in a gap",
-        "disconnected", "complete graph",
+        "finite", "union", "max R = 1", "narrow", "wide", "many fields",
+        "truncated", "truncated in a gap", "disconnected", "complete graph",
+        "isolated vertex", "sum at field max",
+    }
+
+
+def test_completions_over_associative_sets_are_metric():
+    # a completion of a connected graph over a ground set whose
+    # associativity is decided exhaustively is a metric whose entries are
+    # all members, so validating it again proves nothing new
+    verdicts = {}
+    seen = set()
+    for los, his, n, flat in completion_cases():
+        out = ops_py.all_pairs_completion(n, list(flat), los, his)
+        if -1 in out:
+            continue
+        key = (tuple(los), tuple(his))
+        if key not in verdicts:
+            ground = RSet(list(zip(los, his)))
+            verdicts[key] = check_associativity(ground).verdict
+        if verdicts[key] != VERDICT_EXHAUSTIVE:
+            continue
+        assert ops_py.validate_metric(n, out) is None, (n, flat, los, his)
+        assert all(ops_py.sup_le(los, his, v) == v for v in out)
+        seen.add("finite" if los == his else "interval")
+        seen.add("many fields" if n >= 20 else "few fields")
+        seen.add("wide" if his[-1] > 2**64 else "narrow")
+    assert seen == {
+        "finite", "interval", "many fields", "few fields", "wide", "narrow",
     }
 
 

@@ -11,6 +11,8 @@ from distset import (
     VERDICT_FAILED,
     Coloring,
     FiniteMetricSpace,
+    KatetovFunction,
+    ParameterError,
     PartitionError,
     RSet,
     SaturationCapWarning,
@@ -96,6 +98,21 @@ class TestEnumerateKatetov:
             if f.values == {"a": F(1), "b": F(1)}
         ][0]
         assert realizes(m, hit)
+
+    def test_json_round_trip(self):
+        f = KatetovFunction.from_json_obj({"values": {"b": "1/2", "a": 1}})
+        assert f.domain == ("a", "b")
+        assert f.values == {"b": F(1, 2), "a": F(1)}
+        assert KatetovFunction.from_json_obj(f.to_json_obj()) == f
+
+    @pytest.mark.parametrize(
+        "obj", [{"values": [["a", "1"]]}, ["x"], {"values": 5}]
+    )
+    def test_json_shape_errors(self, obj):
+        # a list or a number where an object is expected is a
+        # ParameterError, as for Coloring, not an AttributeError
+        with pytest.raises(ParameterError, match="'values' to an object"):
+            KatetovFunction.from_json_obj(obj)
 
 
 class TestSaturation:
