@@ -10,13 +10,13 @@ imported and one bound read off the caller's image fits int64, else
 
 Every other kernel is the ``ops_py`` function on every backend.  The
 compiled ``scan_assoc`` was 2.7x slower on the grid {0..256} and as fast
-on the depth-6 Cantor stages that dominate set-check's scan time (396
-against 400 ms over 20 scans, best of 5); on shallower stages it saved
-0.1-0.9 ms a scan.  The compiled ``check_triples`` never ran (its
-samples' common denominator, the lcm of the set's denominator and the
-samples' unreduced q, is 90-110 bits, median 95, on set-check's Cantor
-stages), and the compiled ``closure_step`` and ``scan_four_values`` took
-about 1% of their workloads' op time.
+on the depth-6 Cantor stages (396 against 400 ms over 20 scans, best of
+5); on shallower stages it saved 0.1-0.9 ms a scan.  The compiled
+``closure_step`` and ``scan_four_values`` took about 1% of their
+workloads' op time.  ``assoc_gap_search`` exists only in ``ops_py``.
+``check_triples`` has no caller in the library; it stays bound here
+because the benchmark's tracer (``perfbench/spans.py``) wraps
+``core.check_triples``.
 
 Set ``DISTSET_PURE_PYTHON=1`` to force the Python backend.
 """
@@ -25,6 +25,7 @@ import os
 
 from . import ops_py
 from .ops_py import (  # served by ops_py on every backend
+    assoc_gap_search,
     check_triples,
     closure_round,
     closure_step,

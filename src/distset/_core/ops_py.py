@@ -6,10 +6,11 @@ ints.  Because the truncated sum of two set members is either an interval
 endpoint or an exact sum, the common denominator is stable under every
 operation here, so integer arithmetic stays exact.
 
-``_ops_cy.pyx`` compiles the same functions but ``closure_round``, with
-bit-identical results; ``distset._core`` routes only
-``all_pairs_completion`` and ``validate_metric`` there (where it measured
-faster) and serves every other kernel from here on every backend.
+``_ops_cy.pyx`` compiles the same functions but ``closure_round`` and
+``assoc_gap_search``, with bit-identical results; ``distset._core``
+routes only ``all_pairs_completion`` and ``validate_metric`` there (where
+it measured faster) and serves every other kernel from here on every
+backend.
 
 Set representation: two parallel sorted lists ``los``/``his`` of closed
 interval endpoints, pairwise disjoint and ascending.  Finite point sets
@@ -88,6 +89,114 @@ def scan_assoc(los, his, cands):
                 if p1 == top:
                     break
     return None
+
+
+def assoc_gap_search(los, his):
+    """A triple (x, y, z) of members on which the truncated sum is not
+    associative, as ints over 32 times the caller's denominator, or None
+    when the sum of this union of at least two intervals is associative.
+
+    With t(s) the largest member <= s, the sum is not associative iff for
+    some gap j (H_j < L_{j+1}) there are members x, y, z, r with
+
+        x + y < L_{j+1},   r > H_j + z,   r <= x + t(y + z).        (*)
+
+    (<=) x (+) (y (+) z) >= r, as r is a member <= x + t(y + z); and
+    x + y >= r - z > H_j, so x + y lies in gap j, x (+) y = H_j and
+    (x (+) y) (+) z <= H_j + z < r.  (=>) Order a failing triple so that
+    (x (+) y) (+) z < x (+) (y (+) z) =: r.  Then r > (x (+) y) + z.  If
+    x + y were a member, (x (+) y) + z = x + y + z >= r; if x + y >= max
+    R, x (+) y = max R >= r.  So x + y lies in a gap j, x (+) y = H_j, and
+    r = t(x + (y (+) z)) <= x + t(y + z).
+
+    Search, per gap j: the best x is the largest member below L_{j+1} - y,
+    an "end" H_i or the "generic" L_{j+1} - y - eps; the best r is the
+    smallest member above H_j + z, an end L_k or the generic H_j + z + eps.
+    With G(s) = s - t(s), which has G(s + d) <= G(s) + d for d >= 0, (*)
+    reads: end/end t(y + z) >= L_k - H_i; end/generic G(y + z) <= y + H_i
+    - H_j - eps; generic/end G(y + z) <= z + L_{j+1} - L_k - eps;
+    generic/generic G(y + z) <= L_{j+1} - H_j - 2 eps.  So an end y (or z)
+    is tried at its largest value only, found with one bisect; generic y
+    and z form O(m) intervals.  For c >= 0, {s : G(s) <= c} is the union
+    of the [L_K, H_K + c], which meets a range iff the last L_K in it has
+    H_K + c at or past its start.  End/end pairs are tried by falling
+    y + H_i, stopping below L_k - z, as t(s) <= s.
+
+    Exactness: values are scaled by 32 and eps is one unit, so "< c" is
+    "<= c - eps".  Every comparison carries eps with a coefficient of at
+    most 4 against multiples of 32, so it decides as with eps
+    infinitesimal, and a failing quadruple of reals in a pair of cells
+    implies one at the values tried.  A hit is a quadruple of members on
+    the 1/32 grid satisfying (*), so the returned (x, y, z) fails.
+    """
+    lo = [v << 5 for v in los]
+    hi = [v << 5 for v in his]
+    m = len(lo)
+    for j in range(m - 1):
+        hj, lj = hi[j], lo[j + 1]
+        ye = []  # x = H_i: y in [lj - L_{i+1}, lj - H_i - 2 eps]
+        for i in range(j + 1):
+            y = _top(lo, hi, lj - lo[i + 1], lj - hi[i] - 2)
+            if y is not None:
+                ye.append((y + hi[i], y, hi[i]))
+        ye.sort(reverse=True)
+        ze = []  # r = L_k: z in [H_{k-1} - hj, L_k - hj - 2 eps]
+        for k in range(j + 1, m):
+            z = _top(lo, hi, hi[k - 1] - hj, lo[k] - hj - 2)
+            if z is not None:
+                ze.append((z, lo[k]))
+        yg = _meet(lo, hi, [(lj - 1 - hi[i], lj - 1 - lo[i]) for i in range(j, -1, -1)])
+        zg = _meet(lo, hi, [(lo[k] - hj - 1, hi[k] - hj - 1) for k in range(j + 1, m)])
+        for z, lk in ze:
+            need = lk - z
+            for key, y, x in ye:
+                if key < need:
+                    break
+                if x + sup_le(lo, hi, y + z) >= lk:
+                    return x, y, z
+            c = z + lj - lk - 1
+            for ay, by in yg if c >= 0 else ():
+                s = _gap_hit(lo, hi, ay + z, by + z, c)
+                if s is not None:
+                    return lj - 1 - (s - z), s - z, z
+        for key, y, x in ye:
+            c = key - hj - 1
+            if c < 0:
+                break
+            for az, bz in zg:
+                s = _gap_hit(lo, hi, y + az, y + bz, c)
+                if s is not None:
+                    return x, y, s - y
+        for ay, by in yg:
+            for az, bz in zg:
+                s = _gap_hit(lo, hi, ay + az, by + bz, lj - hj - 2)
+                if s is not None:
+                    y = min(by, s - az)
+                    return lj - 1 - y, y, s - y
+    return None
+
+
+def _top(lo, hi, a, b):
+    # the largest member in [a, b], or None
+    k = bisect_right(lo, b) - 1
+    t = hi[k] if hi[k] < b else b
+    return t if k >= 0 and t >= a else None
+
+
+def _meet(lo, hi, ranges):
+    # the pieces of the ascending closed ``ranges`` inside the set
+    out, q = [], 0
+    for a, b in ranges:
+        q = bisect_left(hi, a, q)
+        for p in range(q, bisect_right(lo, b, q)):
+            out.append((max(a, lo[p]), min(b, hi[p])))
+    return out
+
+
+def _gap_hit(lo, hi, a, b, c):
+    # some s in [a, b] with s - t(s) <= c (c >= 0), or None
+    k = bisect_right(lo, b) - 1
+    return max(a, lo[k]) if hi[k] + c >= a else None
 
 
 def check_triples(los, his, triples):

@@ -6,16 +6,15 @@ exploits in both directions:
 
 * finite point sets are decided exhaustively (both checks);
 * a single interval [a, M] is associative, by the formula below;
-* other interval unions cannot be decided exhaustively, so the
-  four-values check delegates to the associativity check, which scans a
-  candidate set (all interval endpoints closed under one round of
-  truncated sums) exhaustively and then samples seeded random member
-  triples.  A Failed verdict always carries an exact witness; a passing
-  verdict on such a union is reported as heuristic.
+* other interval unions are scanned over candidate values (the
+  endpoints closed under one round of truncated sums) and, when that
+  finds no failure, decided by the per-gap search
+  ``_core.assoc_gap_search``; the four-values check delegates to the
+  associativity check.  A Failed verdict always carries an exact witness.
 
-Both phases run on the set's integer image ``(den, los, his)``: the
-samples are drawn as unreduced pairs (p, q) and rescaled once to a common
-denominator, and Fractions are built only for a witness.
+Every verdict is exact: ``PassedExhaustive`` or ``Failed``.
+``VERDICT_HEURISTIC`` has no producer; it stays exported for readers of
+older reports.
 
 Associativity is scanned per value multiset: the truncated sum is
 commutative, so it is associative iff for every multiset {x, y, z} the
@@ -30,10 +29,8 @@ existence.  This covers every ordered quadruple of the definition.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 
 from . import _core
 from .errors import ParameterError
@@ -43,9 +40,6 @@ from .rset import RSet
 VERDICT_EXHAUSTIVE = "PassedExhaustive"
 VERDICT_HEURISTIC = "PassedHeuristic"
 VERDICT_FAILED = "Failed"
-
-# starting denominator bound for random interval members
-MAX_SAMPLE_DEN = 64
 
 
 @dataclass(frozen=True)
@@ -94,7 +88,6 @@ class CheckReport:
     witness: dict | None = None
     lhs: Fraction | None = None
     rhs: Fraction | None = None
-    sample_count: int | None = None
     note: str | None = None
 
     @property
@@ -115,8 +108,6 @@ class CheckReport:
             "lhs": None if self.lhs is None else rational_str(self.lhs),
             "rhs": None if self.rhs is None else rational_str(self.rhs),
         }
-        if self.sample_count is not None:
-            obj["sample_count"] = self.sample_count
         if self.note is not None:
             obj["note"] = self.note
         return obj
@@ -147,103 +138,29 @@ def _assoc_witness(rset: RSet, values) -> CheckReport:
     )
 
 
-def _draw(den: int, los: list, his: list, rng: random.Random, count: int):
-    """``count`` seeded random members of the set whose integer image is
-    ``(den, los, his)``, as pairs (p, q) standing for p / q.
-
-    Each draw picks an interval uniformly; a point is drawn as (lo, den),
-    otherwise q starts uniform in [1, MAX_SAMPLE_DEN] and doubles until
-    the interval contains some p / q, and p is uniform among those.  The
-    pairs are not reduced.
-    """
-    n = len(los)
-    randrange, randint = rng.randrange, rng.randint
-    out = []
-    for _ in range(count):
-        t = randrange(n)
-        lo, hi = los[t], his[t]
-        if lo == hi:
-            out.append((lo, den))
-            continue
-        q = randint(1, MAX_SAMPLE_DEN)
-        while True:
-            pmin = -(-lo * q // den)
-            pmax = hi * q // den
-            if pmin <= pmax:
-                break
-            q *= 2
-        out.append((randint(pmin, pmax), q))
-    return out
-
-
-def random_member(rset: RSet, rng: random.Random) -> Fraction:
-    """One draw of the sampler: uniform interval choice, then a rational
-    with bounded denominator inside it (the denominator doubles until the
-    interval contains one)."""
-    den, los, his = rset.scaled()
-    [(p, q)] = _draw(den, los, his, rng, 1)
-    return Fraction(p, q)
-
-
-def _check_budget(sample_budget) -> None:
-    # bool is an int subclass, but JSON booleans are not numbers
-    if not isinstance(sample_budget, int) or isinstance(sample_budget, bool):
-        raise ParameterError(
-            f"sample budget must be an integer, not {sample_budget!r}"
-        )
-    if sample_budget < 0:
-        raise ParameterError("sample budget must be non-negative")
-
-
-def check_associativity(
-    rset: RSet, sample_budget: int = 500, seed: int = 0
-) -> CheckReport:
-    """Decide (finite sets, one interval) or probe (interval unions)
-    associativity.
+def check_associativity(rset: RSet) -> CheckReport:
+    """Decide associativity.
 
     One interval [a, M] is associative: members x, y have x + y >= a, so
     x (+) y = min(x + y, M), and with z >= 0 both groupings of (x, y, z)
     give min(x + y + z, M).  Finite point sets are scanned exhaustively.
-    Other interval unions are scanned exhaustively over the
-    endpoint-derived candidate values and then over ``sample_budget``
-    seeded random member triples; passing that way is reported as
-    PassedHeuristic with the sample count.  The triples are drawn on the
-    integer image and checked by ``_core.check_triples`` over
-    lcm(den, their q); only a failing triple becomes Fractions.
+    Other interval unions are scanned over the endpoints closed under one
+    round of truncated sums; when that scan finds no failure,
+    ``_core.assoc_gap_search`` decides, and its triple (on the 1/32 grid
+    of the set's denominator) is the witness of a failure.
     """
-    _check_budget(sample_budget)
     if len(rset.intervals) == 1:
         return CheckReport(check="associativity", verdict=VERDICT_EXHAUSTIVE)
     den, los, his = rset.scaled()
     finite = rset.is_finite()
-    if finite:
-        cands = los
-    else:  # the endpoints closed under one round of truncated sums
-        cands = _core.closure_step(sorted({*los, *his}), los, his)
+    cands = los if finite else _core.closure_step(sorted({*los, *his}), los, his)
     hit = _core.scan_assoc(los, his, cands)
     if hit is not None:
         return _assoc_witness(rset, [Fraction(cands[t], den) for t in hit])
-    if finite:
+    triple = None if finite else _core.assoc_gap_search(los, his)
+    if triple is None:
         return CheckReport(check="associativity", verdict=VERDICT_EXHAUSTIVE)
-
-    draws = _draw(den, los, his, random.Random(seed), 3 * sample_budget)
-    qs = {q for _, q in draws}
-    big = lcm(den, *qs)
-    scale = {q: big // q for q in qs}
-    f = big // den
-    bad = _core.check_triples(
-        [v * f for v in los],
-        [v * f for v in his],
-        [p * scale[q] for p, q in draws],
-    )
-    if bad >= 0:
-        triple = [Fraction(p, q) for p, q in draws[3 * bad : 3 * bad + 3]]
-        return _assoc_witness(rset, triple)
-    return CheckReport(
-        check="associativity",
-        verdict=VERDICT_HEURISTIC,
-        sample_count=sample_budget,
-    )
+    return _assoc_witness(rset, [Fraction(v, 32 * den) for v in triple])
 
 
 def _linking_window(p: Fraction, q: Fraction, s: Fraction, t: Fraction):
@@ -260,9 +177,7 @@ def _window_member(rset: RSet, lo: Fraction, hi: Fraction) -> Fraction | None:
     return x if x <= hi else None
 
 
-def check_4values(
-    rset: RSet, sample_budget: int = 500, seed: int = 0
-) -> CheckReport:
+def check_4values(rset: RSet) -> CheckReport:
     """Decide the four-values condition.
 
     Finite point sets: exhaustive scan over admissible quadruples; a
@@ -271,9 +186,8 @@ def check_4values(
     that empty window.  Interval unions: decided via the associativity
     check (the two conditions agree on closed sets) and relabelled.
     """
-    _check_budget(sample_budget)
     if not rset.is_finite():
-        rep = check_associativity(rset, sample_budget=sample_budget, seed=seed)
+        rep = check_associativity(rset)
         return replace(
             rep,
             check="four-values",

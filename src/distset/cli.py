@@ -62,7 +62,7 @@ def _report_exit(report: checks.CheckReport, args) -> int:
 
 def _cmd_set_check(args) -> int:
     rset = _load_rset(args.input)
-    report = checks.check_4values(rset, sample_budget=args.samples, seed=args.seed)
+    report = checks.check_4values(rset)
     return _report_exit(report, args)
 
 
@@ -287,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="four-values / associativity check")
     p.add_argument("--input", required=True)
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=_cmd_set_check)
 

@@ -626,7 +626,7 @@ def complete_to_metric_space(graph: RGraph) -> FiniteMetricSpace:
             )
     image = (graph._den, graph._los, graph._his, flat)
     space = FiniteMetricSpace._from_image(graph.ground_set, graph.vertices, image)
-    # the one re-check of a built output: a PassedHeuristic ground set may
-    # not be associative, and then the closure need not be metric
+    # the one re-check of a built output: the ground set passed the exact
+    # associativity check, so it cannot fire; kept until its drop is measured
     space.validate()
     return space

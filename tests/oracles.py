@@ -7,18 +7,15 @@ ordered pair and the closure repeats full rounds to the fixpoint, the
 four-values oracle quantifies over ordered quadruples straight from the
 definition, and embeddings are found by scanning every injection in
 ``itertools`` order.  The multiset scans visit every multiset, with no
-cut; random members are rounded on Fractions, and the sampled triples
-of the associativity check are grouped by ``RSet.oplus``.  The
-completion and the metric check on flat matrices are cell-at-a-time
-triple loops.  The Katetov enumeration, the unrealized-type search, the
-eps-neighbourhood and the partition distance function compare Fraction
-distances read through ``space.dist``.
+cut, and the grid oracle for interval unions runs that scan over every
+member of a fine grid.  The completion and the metric check on flat
+matrices are cell-at-a-time triple loops.  The Katetov enumeration, the
+unrealized-type search, the eps-neighbourhood and the partition distance
+function compare Fraction distances read through ``space.dist``.
 """
 
 import itertools
-import random
 from fractions import Fraction
-from math import ceil, floor
 
 
 def oplus_points(points, a, b):
@@ -102,6 +99,19 @@ def first_assoc_multiset(los, his, cands):
     return None
 
 
+def grid_assoc_failure(intervals, den):
+    """First multiset of members of (1/(24 den))Z, as Fractions, whose
+    three groupings differ, or None: ``first_assoc_multiset`` over every
+    grid member of the closed ``intervals`` (Fraction pairs whose
+    endpoints have denominators dividing ``den``)."""
+    step = 24 * den
+    los = [int(lo * step) for lo, _ in intervals]
+    his = [int(hi * step) for _, hi in intervals]
+    grid = [v for lo, hi in zip(los, his) for v in range(lo, hi + 1)]
+    hit = first_assoc_multiset(los, his, grid)
+    return None if hit is None else [Fraction(grid[t], step) for t in hit]
+
+
 def first_four_values_multiset(points):
     """First admissible multiset (i <= j <= k <= l) of the ascending
     ``points`` whose three pairings {a,e}|{rest} disagree on whether a
@@ -165,50 +175,6 @@ def validate_metric(n, d):
                 if d[i * n + j] > d[i * n + k] + d[k * n + j]:
                     return ("tri", i, j, k)
     return None
-
-
-def random_member(rset, rng):
-    """``checks.random_member`` with its rounding done by ``ceil`` and
-    ``floor`` on Fractions: the same rng calls in the same order."""
-    from distset.checks import MAX_SAMPLE_DEN
-
-    lo, hi = rset.intervals[rng.randrange(len(rset.intervals))]
-    if lo == hi:
-        return lo
-    q = rng.randint(1, MAX_SAMPLE_DEN)
-    while True:
-        pmin = ceil(lo * q)
-        pmax = floor(hi * q)
-        if pmin <= pmax:
-            return Fraction(rng.randint(pmin, pmax), q)
-        q *= 2
-
-
-def sampled_assoc(rset, budget, seed):
-    """The sampling phase of ``checks.check_associativity`` on Fractions:
-    ``3 * budget`` draws of ``random_member`` from ``random.Random(seed)``,
-    the three groupings (x+y)+z, (x+z)+y and (y+z)+x of each triple by
-    ``RSet.oplus``, and the first triple whose groupings differ arranged
-    as ``checks._assoc_witness`` does: descending, with the last two
-    swapped when the descending groupings agree.
-
-    Returns ``(witness, lhs, rhs, rng)``; the first three are None when
-    every triple passes.
-    """
-    rng = random.Random(seed)
-    samples = [random_member(rset, rng) for _ in range(3 * budget)]
-    op = rset.oplus
-    for t in range(0, len(samples), 3):
-        x, y, z = samples[t : t + 3]
-        if op(op(x, y), z) == op(op(x, z), y) == op(op(y, z), x):
-            continue
-        a, b, c = sorted((x, y, z), reverse=True)
-        for b, c in ((b, c), (c, b)):
-            lhs, rhs = op(op(a, b), c), op(a, op(b, c))
-            if lhs != rhs:
-                return {"a": a, "b": b, "c": c}, lhs, rhs, rng
-        raise AssertionError("a failing triple with agreeing arrangements")
-    return None, None, None, rng
 
 
 def four_values_holds(points):

@@ -6,6 +6,7 @@ import pytest
 from distset import (
     ParameterError,
     RSet,
+    VERDICT_EXHAUSTIVE,
     cantor_set,
     check_4values,
     check_associativity,
@@ -159,8 +160,8 @@ class TestFourValuesBehaviour:
             n = rng.randint(1, 4)
             vec = [F(rng.randint(9, 23), 24) for _ in range(n)]
             assert all(F(1, 3) < w < 1 for w in vec)
-            rep = check_associativity(cantor_set(vec), sample_budget=50, seed=3)
-            assert rep.passed
+            rep = check_associativity(cantor_set(vec))
+            assert rep.verdict == VERDICT_EXHAUSTIVE
 
     def test_middle_third_depth2_fails_exactly(self):
         rep = check_associativity(cantor_set([F(1, 3), F(1, 3)]))

@@ -1,6 +1,5 @@
 import random
 from dataclasses import replace
-from types import SimpleNamespace
 from fractions import Fraction as F
 
 import pytest
@@ -11,18 +10,16 @@ from distset import (
     RSet,
     VERDICT_EXHAUSTIVE,
     VERDICT_FAILED,
-    VERDICT_HEURISTIC,
     cantor_set,
     check_4values,
     check_associativity,
     recheck_witness,
 )
-from distset import checks
-from distset.checks import MAX_SAMPLE_DEN, CheckReport, random_member
-from distset.errors import ParameterError
+from distset import _core
+from distset._core import ops_py
+from distset.checks import CheckReport
 from conftest import random_finite_set
-from oracles import assoc_holds, four_values_holds, sampled_assoc
-from oracles import random_member as fraction_random_member
+from oracles import assoc_holds, four_values_holds, grid_assoc_failure
 
 MID2 = cantor_set([F(1, 3), F(1, 3)])
 
@@ -48,23 +45,27 @@ class TestAssociativity:
         assert recheck_witness(MID2, rep)
 
     def test_interval_passes_heuristically(self):
-        # a union of intervals: one interval is decided exactly (below)
-        rep = check_associativity(cantor_set([F(2, 5)]), sample_budget=64, seed=5)
-        assert rep.verdict == VERDICT_HEURISTIC
-        assert rep.sample_count == 64
+        # named when sampling could only pass this union heuristically;
+        # the per-gap search now decides it exactly
+        rep = check_associativity(cantor_set([F(2, 5)]))
+        assert rep == CheckReport(check="associativity", verdict=VERDICT_EXHAUSTIVE)
 
     @pytest.mark.parametrize("interval", [(0, 1), (0, 3), (F(1, 2), F(7, 3))])
     def test_one_interval_is_decided(self, interval):
         # x (+) y = min(x + y, M) on [a, M], so every grouping of a
         # triple folds to min(x + y + z, M)
-        rep = check_associativity(RSet([interval]), sample_budget=64, seed=5)
+        rep = check_associativity(RSet([interval]))
         assert rep == CheckReport(check="associativity", verdict=VERDICT_EXHAUSTIVE)
 
     @pytest.mark.parametrize(
         "rset, verdict, triple, lhs, rhs",
         [
-            # verdicts and witnesses (a, b, c) of the exhaustive candidate
-            # scan alone, pinned so a change to the candidates shows
+            # verdicts and witnesses (a, b, c): the first five come from
+            # the candidate scan, pinned so a change to the candidates
+            # shows; the rest are the per-gap search's exact verdicts, and
+            # the first reproducer scaled by 3/7 fails on its grid triple.
+            # Rows 5-7 and 9 keep the ids they had when sampling could only
+            # pass them heuristically; they now pass exhaustively
             (MID2, VERDICT_FAILED, (F(1, 3), F(2, 9), F(1, 9)), F(1, 3), F(2, 3)),
             (
                 cantor_set([F(1, 3)] * 3),
@@ -94,33 +95,49 @@ class TestAssociativity:
                 F(3, 4),
                 F(3, 2),
             ),
-            (cantor_set([F(2, 5)] * 4), VERDICT_HEURISTIC, None, None, None),
-            (cantor_set([F(3, 7)] * 3), VERDICT_HEURISTIC, None, None, None),
-            (
+            pytest.param(
+                cantor_set([F(2, 5)] * 4),
+                VERDICT_EXHAUSTIVE,
+                None,
+                None,
+                None,
+                id="rset5-PassedHeuristic-None-None-None",
+            ),
+            pytest.param(
+                cantor_set([F(3, 7)] * 3),
+                VERDICT_EXHAUSTIVE,
+                None,
+                None,
+                None,
+                id="rset6-PassedHeuristic-None-None-None",
+            ),
+            pytest.param(
                 cantor_set([F(2, 5), F(1, 2), F(3, 8)]),
-                VERDICT_HEURISTIC,
+                VERDICT_EXHAUSTIVE,
                 None,
                 None,
                 None,
+                id="rset7-PassedHeuristic-None-None-None",
             ),
             (
                 RSet([(0, F(5, 6)), (F(5, 3), 2)]).scale(F(3, 7)),
-                VERDICT_HEURISTIC,
-                None,
-                None,
-                None,
+                VERDICT_FAILED,
+                (F(5, 14), F(79, 224), F(79, 224)),
+                F(5, 14),
+                F(5, 7),
             ),
-            (
+            pytest.param(
                 cantor_set([F(2, 5)] * 3).scale(F(5, 2)),
-                VERDICT_HEURISTIC,
+                VERDICT_EXHAUSTIVE,
                 None,
                 None,
                 None,
+                id="rset9-PassedHeuristic-None-None-None",
             ),
         ],
     )
     def test_pinned_candidate_scan(self, rset, verdict, triple, lhs, rhs):
-        rep = check_associativity(rset, sample_budget=0)
+        rep = check_associativity(rset)
         witness = None if triple is None else dict(zip("abc", triple))
         assert (rep.verdict, rep.witness, rep.lhs, rep.rhs) == (
             verdict,
@@ -130,19 +147,24 @@ class TestAssociativity:
         )
 
     def test_sampling_finds_what_the_candidates_miss(self):
+        # the candidate scan passes this union; the per-gap search's
+        # triple on the 1/32 grid is the witness
         r = RSet([(0, F(1, 6)), F(1, 3)])
-        assert check_associativity(r, sample_budget=0).passed
+        den, los, his = r.scaled()
+        cands = _core.closure_step(sorted({*los, *his}), los, his)
+        assert _core.scan_assoc(los, his, cands) is None
         rep = check_associativity(r)
         assert rep.verdict == VERDICT_FAILED
-        assert rep.witness == {"a": F(1, 6), "b": F(1, 7), "c": F(1, 12)}
+        assert rep.witness == {"a": F(1, 6), "b": F(5, 32), "c": F(5, 32)}
         assert (rep.lhs, rep.rhs) == (F(1, 6), F(1, 3))
         assert recheck_witness(r, rep)
 
     def test_deterministic_given_seed(self):
+        # the same set gives the same exact report
         r = RSet([0, (F(1, 2), 1)])
-        a = check_associativity(r, sample_budget=32, seed=9)
-        b = check_associativity(r, sample_budget=32, seed=9)
-        assert a == b
+        a = check_associativity(r)
+        assert a == check_associativity(r)
+        assert a.verdict == VERDICT_EXHAUSTIVE
 
 
 class TestFourValues:
@@ -156,14 +178,10 @@ class TestFourValues:
         assert recheck_witness(r, rep)
 
     def test_interval_union_delegates(self):
-        rep = check_4values(cantor_set([F(2, 5)]), sample_budget=32, seed=1)
-        assert rep.check == "four-values"
-        assert rep.verdict == VERDICT_HEURISTIC
-        assert rep.sample_count == 32
-        assert rep.note is not None
-        rep = check_4values(RSet([(0, 1)]), sample_budget=32, seed=1)
-        assert (rep.check, rep.verdict) == ("four-values", VERDICT_EXHAUSTIVE)
-        assert rep.sample_count is None and rep.note is not None
+        for r in (cantor_set([F(2, 5)]), RSet([(0, 1)])):
+            rep = check_4values(r)
+            assert (rep.check, rep.verdict) == ("four-values", VERDICT_EXHAUSTIVE)
+            assert rep.note is not None
 
     def test_middle_third_delegated_witness(self):
         rep = check_4values(MID2)
@@ -181,7 +199,7 @@ class TestFourValues:
             cantor_set([F(1, 4)] * 3),
             RSet([(0, F(1, 4)), (F(1, 2), F(3, 4)), (F(3, 2), 2)]),
         ):
-            rep = check_4values(r, sample_budget=0)
+            rep = check_4values(r)
             assert rep.check == "four-values"
             assert rep.verdict == VERDICT_FAILED
             assert recheck_witness(r, rep)
@@ -253,41 +271,6 @@ class TestQuadruple:
         assert q.linking_window(swap=True) == (F(4), F(4))
 
 
-def test_random_member_matches_fraction_rounding():
-    # integer rounding against ceil/floor on Fractions: equal draws and
-    # equal rng states, over unions with one-point intervals, non-integer
-    # endpoints and intervals narrow enough that q must double
-    rng = random.Random(12)
-    seen = set()
-    for case in range(200):
-        intervals = []
-        cur = F(rng.randint(0, 5), rng.choice([1, 3, 7]))
-        for _ in range(rng.randint(1, 4)):
-            kind = rng.random()
-            if kind < 0.25:
-                hi = cur
-            elif kind < 0.5:
-                hi = cur + F(1, rng.randint(200, 5000))
-            else:
-                hi = cur + F(rng.randint(1, 20), rng.choice([1, 3, 8]))
-            intervals.append((cur, hi))
-            cur = hi + F(rng.randint(1, 30), rng.choice([1, 2, 10, 1000]))
-        rset = RSet(intervals)
-        seed = rng.randrange(2**32)
-        ours, ref = random.Random(seed), random.Random(seed)
-        for _ in range(30):
-            x = random_member(rset, ours)
-            assert x == fraction_random_member(rset, ref), (intervals, seed)
-            if x.denominator > MAX_SAMPLE_DEN:
-                seen.add("doubled")
-        assert ours.getstate() == ref.getstate()
-        for lo, hi in rset.intervals:
-            seen.add("point" if lo == hi else "interval")
-            if lo.denominator > 1 or hi.denominator > 1:
-                seen.add("non-integer")
-    assert seen == {"doubled", "point", "interval", "non-integer"}
-
-
 def _seeded_unions(rng, count):
     """Unions of 2-4 intervals on [0, 3] with denominators 3-7, a few of
     their intervals shrunk to points."""
@@ -302,66 +285,92 @@ def _seeded_unions(rng, count):
     return out
 
 
-def test_sampling_matches_the_fraction_path(monkeypatch):
-    # the sampling phase on the integer image against its replay on
-    # Fractions: equal reports and equal rng states afterwards, on sets
-    # whose candidate scan passes (only they reach the samples)
-    made = []
+REPRODUCERS = (
+    RSet([(0, F(5, 6)), (F(5, 3), 2)]),
+    RSet([(0, F(7, 6)), (F(7, 3), F(17, 6))]),
+    RSet([(0, F(7, 6)), (F(7, 3), F(10, 3))]),
+)
 
-    class Recording(random.Random):
-        def __init__(self, seed):
-            super().__init__(seed)
-            made.append(self)
 
-    monkeypatch.setattr(checks, "random", SimpleNamespace(Random=Recording))
-    rng = random.Random(13)
-    stages = [
-        cantor_set([rng.choice((F(2, 5), F(1, 2), F(3, 5))) for _ in range(d)])
-        for d in (1, 1, 2, 2, 3)
-    ]
+@pytest.mark.parametrize("scale", [1, F(2**70), F(1, 2**70)])
+@pytest.mark.parametrize("base", REPRODUCERS)
+def test_known_non_associative_unions_fail(base, scale):
+    # the candidate scan passes all three; both checks now fail them,
+    # with witnesses that re-evaluate, at any scale
+    r = base.scale(scale)
+    for check in (check_associativity, check_4values):
+        rep = check(r)
+        assert rep.verdict == VERDICT_FAILED
+        assert recheck_witness(r, rep)
+
+
+def _oracle_family(rng):
+    """Unions of 2-5 intervals with endpoints in (1/d)Z, d = 1-3, spread
+    over 2k units of 1/d (about 30% without 0, each interval a point with
+    probability 0.15), and Cantor stages of depth 1-2: small enough for
+    the grid oracle's cubic scan."""
+    sets = []
+    for _ in range(40):
+        k, d = rng.randint(2, 5), rng.randint(1, 3)
+        start = 0 if rng.random() < 0.7 else rng.randint(1, d)
+        ends = [start, *sorted(rng.sample(range(start + 1, start + 2 * k + 1), 2 * k - 1))]
+        sets.append(RSet([
+            (F(ends[2 * i], d), F(ends[2 * i + (rng.random() >= 0.15)], d))
+            for i in range(k)
+        ]))
+    for weights in (
+        [F(1, 2)], [F(1, 3)], [F(3, 5)], [F(1, 5)],
+        [F(1, 2), F(1, 2)], [F(1, 3), F(1, 3)], [F(1, 2), F(1, 3)],
+    ):
+        sets.append(cantor_set(weights))
+    return sets
+
+
+def test_gap_search_agrees_with_the_grid_oracle():
     seen = set()
-    for i, rset in enumerate(_seeded_unions(rng, 80) + stages):
-        if check_associativity(rset, 0).verdict != VERDICT_HEURISTIC:
-            continue
-        runs = [(b, s) for b in (0, 7, 50) for s in (0, 5, 3 + i)]
-        if i % 3 == 0:
-            runs.append((500, i))
-        for budget, seed in runs:
-            made.clear()
-            rep = check_associativity(rset, budget, seed)
-            witness, lhs, rhs, ref = sampled_assoc(rset, budget, seed)
-            assert [r.getstate() for r in made] == [ref.getstate()]
-            assert (rep.witness, rep.lhs, rep.rhs) == (witness, lhs, rhs)
-            if witness is None:
-                assert rep == CheckReport(
-                    check="associativity",
-                    verdict=VERDICT_HEURISTIC,
-                    sample_count=budget,
-                )
-                seen.add("passes")
-            else:
-                assert rep.verdict == VERDICT_FAILED
-                assert recheck_witness(rset, rep)
-                seen.add("fails only through sampling")
-            seen.add("stage" if rset in stages else "union")
-            if budget == 500:
-                seen.add("budget 500")
-    assert seen == {
-        "passes", "fails only through sampling", "stage", "union",
-        "budget 500",
-    }
+    for r in _oracle_family(random.Random(2101)):
+        den, los, his = r.scaled()
+        hit = ops_py.assoc_gap_search(los, his)
+        ref = grid_assoc_failure(r.intervals, den)
+        assert (hit is None) == (ref is None), r.intervals
+        rep = check_associativity(r)
+        assert rep.passed == (ref is None)
+        if ref is not None:
+            assert recheck_witness(r, rep)
+        seen.add("passes" if ref is None else "fails")
+        seen.add("no 0" if r.intervals[0][0] > 0 else "0")
+        if any(lo == hi for lo, hi in r.intervals):
+            seen.add("point")
+    assert seen == {"passes", "fails", "no 0", "0", "point"}
 
 
-@pytest.mark.parametrize("budget", [True, False, 2.0, "50", None])
-def test_sample_budget_must_be_a_plain_int(budget):
-    # JSON booleans are not numbers; a float or string is no budget
-    for rset in (cantor_set([F(2, 5)]), RSet([0, 1, 3]), RSet([(0, 1)])):
-        with pytest.raises(ParameterError, match="must be an integer"):
-            check_associativity(rset, sample_budget=budget)
-        with pytest.raises(ParameterError, match="must be an integer"):
-            check_4values(rset, sample_budget=budget)
-    with pytest.raises(ParameterError, match="non-negative"):
-        check_4values(cantor_set([F(2, 5)]), sample_budget=-1)
+def test_candidate_scan_hits_are_gap_search_hits():
+    # the candidate scan runs first and keeps its witnesses; the per-gap
+    # search must still fail every union the scan fails, so that it
+    # decides alone and the scan could run only to pick a witness
+    rng = random.Random(2103)
+    stages = [
+        cantor_set([rng.choice((F(1, 4), F(1, 3), F(2, 5), F(1, 2))) for _ in range(d)])
+        for d in (1, 2, 2, 3, 3)
+    ]
+    hits = 0
+    for r in _seeded_unions(rng, 120) + stages:
+        den, los, his = r.scaled()
+        cands = _core.closure_step(sorted({*los, *his}), los, his)
+        if ops_py.scan_assoc(los, his, cands) is not None:
+            hits += 1
+            assert ops_py.assoc_gap_search(los, his) is not None, r.intervals
+    assert hits > 60
+
+
+def test_gap_search_agrees_with_the_exhaustive_scan():
+    # finite sets are degenerate unions; their exhaustive scan decides
+    rng = random.Random(2102)
+    for _ in range(300):
+        d = rng.randint(1, 8)
+        pts = sorted(rng.sample(range(4 * d + 1), rng.randint(2, min(9, 4 * d))))
+        hit = ops_py.assoc_gap_search(pts, pts)
+        assert (hit is None) == (ops_py.scan_assoc(pts, pts, pts) is None), pts
 
 
 def test_report_json_shape():

@@ -323,8 +323,6 @@ class TestCliContract:
             ("set", "check", "--input", write_json(
                 tmp_path, "bool.json", {"intervals": [[False, True]]}
             )),
-            ("set", "check", "--samples", "-1", "--input",
-             write_json(tmp_path, "fin.json", grid)),
             ("graph", "check", "--graph", write_json(
                 tmp_path, "e.json",
                 {"set": grid, "vertices": ["a", "b"], "edges": [["a", "b"]]},
