@@ -1,36 +1,28 @@
 """Build script: compiles the optional integer kernel extension.
 
-The extension ``distset._core._ops_cy`` is cythonized from
-``src/distset/_core/_ops_cy.pyx`` when Cython is installed (which
-regenerates the tracked ``_ops_cy.c`` next to it when the ``.pyx`` is
-newer).  Without Cython it is compiled from that vendored,
-Cython-generated ``_ops_cy.c``: a C compiler and the Python headers are
-all it needs.  ``tests/test_extension_build.py`` fails when the ``.c`` no
-longer matches the ``.pyx``.
+The extension ``distset._core._ops_c`` is one hand-written C file,
+``src/distset/_core/_ops_c.c``, holding the two kernels that
+``distset._core`` routes to compiled code.  A C compiler and the Python
+headers are all it needs.
 
 The package is fully functional without the extension (a pure-Python
 backend with identical semantics is selected at import time).  Set
-DISTSET_NO_EXTENSION=1 to skip the compile step explicitly.
+DISTSET_PURE_PYTHON=1 to build nothing; at run time the same variable
+makes ``distset._core`` import nothing.
 
 A source-tree test run (``PYTHONPATH=src python -m pytest``) runs
 ``setup.py build_ext --inplace`` itself when the extension is missing or
-older than its sources; see ``tests/conftest.py``.
+older than its source; see ``tests/conftest.py``.
 """
 
 import os
 
 from setuptools import Extension, setup
 
-PYX = "src/distset/_core/_ops_cy.pyx"
-VENDORED_C = "src/distset/_core/_ops_cy.c"
-
 ext_modules = []
-if os.environ.get("DISTSET_NO_EXTENSION") != "1":
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        ext_modules = [Extension("distset._core._ops_cy", [VENDORED_C])]
-    else:
-        ext_modules = cythonize([PYX], language_level="3")
+if os.environ.get("DISTSET_PURE_PYTHON") != "1":
+    ext_modules = [
+        Extension("distset._core._ops_c", ["src/distset/_core/_ops_c.c"])
+    ]
 
 setup(ext_modules=ext_modules)

@@ -6,11 +6,10 @@ ints.  Because the truncated sum of two set members is either an interval
 endpoint or an exact sum, the common denominator is stable under every
 operation here, so integer arithmetic stays exact.
 
-``_ops_cy.pyx`` compiles the same functions but ``closure_round`` and
-``assoc_gap_search``, with bit-identical results; ``distset._core``
-routes only ``all_pairs_completion`` and ``validate_metric`` there (where
-it measured faster) and serves every other kernel from here on every
-backend.
+``_ops_c.c`` compiles ``all_pairs_completion`` and ``validate_metric``
+with bit-identical results; ``distset._core`` routes those two there
+(where it measured faster) when their inputs fit int64, and serves every
+other kernel from here on every backend.
 
 Set representation: two parallel sorted lists ``los``/``his`` of closed
 interval endpoints, pairwise disjoint and ascending.  Finite point sets

@@ -25,7 +25,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
         raise DistSetError(f"cannot read {path}: {exc}") from exc
 
 
@@ -46,8 +46,11 @@ def _emit(obj, args) -> None:
     separators = None if args.pretty else (",", ":")
     text = json.dumps(obj, indent=indent, separators=separators, sort_keys=True)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise DistSetError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text + "\n")
 

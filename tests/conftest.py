@@ -12,21 +12,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 ROOT = Path(__file__).resolve().parents[1]
 CORE = ROOT / "src" / "distset" / "_core"
-BUILT_EXTENSION = CORE / ("_ops_cy" + sysconfig.get_config_var("EXT_SUFFIX"))
-EXTENSION_SOURCES = (CORE / "_ops_cy.c", CORE / "_ops_cy.pyx")
+BUILT_EXTENSION = CORE / ("_ops_c" + sysconfig.get_config_var("EXT_SUFFIX"))
+EXTENSION_SOURCE = CORE / "_ops_c.c"
 
 
-def extension_needs_build(built, sources, environ) -> bool:
+def extension_needs_build(built, source, environ) -> bool:
     """Whether the compiled kernels must be (re)built in the source tree:
-    neither opt-out variable is set, and the built module is missing or
-    older than one of the sources it is built from."""
-    opt_outs = ("DISTSET_PURE_PYTHON", "DISTSET_NO_EXTENSION")
-    if any(environ.get(name) == "1" for name in opt_outs):
+    ``DISTSET_PURE_PYTHON=1`` is not set, and the built module is missing
+    or older than the C source it is built from."""
+    if environ.get("DISTSET_PURE_PYTHON") == "1":
         return False
-    if not built.exists():
-        return True
-    built_at = built.stat().st_mtime
-    return any(src.stat().st_mtime > built_at for src in sources)
+    return not built.exists() or source.stat().st_mtime > built.stat().st_mtime
 
 
 def build_extension_in_place():
@@ -47,7 +43,7 @@ def build_extension_in_place():
 # output, and test_extension_importable_unless_disabled fails.
 BUILD_FAILURE = (
     build_extension_in_place()
-    if extension_needs_build(BUILT_EXTENSION, EXTENSION_SOURCES, os.environ)
+    if extension_needs_build(BUILT_EXTENSION, EXTENSION_SOURCE, os.environ)
     else None
 )
 

@@ -3,6 +3,8 @@
 import itertools
 import os
 import random
+import sys
+import tracemalloc
 import types
 from bisect import bisect_right
 from fractions import Fraction as F
@@ -16,11 +18,12 @@ from distset.checks import VERDICT_EXHAUSTIVE, check_associativity
 from distset.rset import RSet
 
 import oracles
+from conftest import extension_needs_build
 
-ops_cy = _core.ops_cy
+ops_c = _core.ops_c
 
 skip_no_ext = pytest.mark.skipif(
-    ops_cy is None, reason="compiled backend not built"
+    ops_c is None, reason="compiled backend not built"
 )
 
 
@@ -29,10 +32,33 @@ def test_extension_importable_unless_disabled():
     # present unless explicitly opted out
     if os.environ.get("DISTSET_PURE_PYTHON") == "1":
         pytest.skip("pure-Python mode requested")
-    if os.environ.get("DISTSET_NO_EXTENSION") == "1":
-        pytest.skip("extension build opted out")
-    assert ops_cy is not None
-    assert _core.backend_name() == "cython"
+    assert ops_c is not None
+    assert _core.backend_name() == "c"
+
+
+def touch(path, mtime):
+    path.write_text("")
+    os.utime(path, (mtime, mtime))
+
+
+@pytest.mark.parametrize(
+    "built_at, environ, expected",
+    [
+        (None, {}, True),  # never built
+        (50, {}, True),  # older than the source
+        (150, {}, False),  # newer than the source
+        (150, {"DISTSET_PURE_PYTHON": "0"}, False),
+        (None, {"DISTSET_PURE_PYTHON": "1"}, False),
+        (50, {"DISTSET_PURE_PYTHON": "1"}, False),
+    ],
+)
+def test_extension_needs_build(tmp_path, built_at, environ, expected):
+    source = tmp_path / "_ops_c.c"
+    touch(source, 100)
+    built = tmp_path / "_ops_c.so"
+    if built_at is not None:
+        touch(built, built_at)
+    assert extension_needs_build(built, source, environ) is expected
 
 
 def random_set_arrays(rng, max_points=12, top=2000):
@@ -60,80 +86,11 @@ def stage_candidates(weights):
 
 
 @skip_no_ext
-def test_sup_le_agrees():
-    rng = random.Random(1)
-    for _ in range(300):
-        los, his = random_set_arrays(rng)
-        s = rng.randint(los[0], his[-1] + 100)
-        assert ops_py.sup_le(los, his, s) == ops_cy.sup_le(los, his, s)
-
-
-@skip_no_ext
-def test_scan_assoc_agrees():
-    rng = random.Random(2)
-    for _ in range(150):
-        los, his = random_set_arrays(rng)
-        cands = sorted(
-            {rng.choice(his) for _ in range(rng.randint(1, 8))}
-            | {rng.choice(los) for _ in range(3)}
-        )
-        assert ops_py.scan_assoc(los, his, cands) == ops_cy.scan_assoc(
-            los, his, cands
-        )
-    # realistic inputs: stage candidates up to depth 5 and one grid
-    half, twofifths, third = F(1, 2), F(2, 5), F(1, 3)
-    for weights in (
-        [twofifths, half, F(3, 7)],
-        [third, third, half],
-        [F(3, 5), F(2, 3), twofifths, half],
-        [twofifths, third, half, F(3, 7)],
-        [half, F(4, 7), twofifths, F(3, 7), F(2, 3)],
-        [F(3, 10), F(1, 4), half, twofifths, F(3, 5)],
-    ):
-        los, his, cands = stage_candidates(weights)
-        assert ops_py.scan_assoc(los, his, cands) == ops_cy.scan_assoc(
-            los, his, cands
-        ), weights
-    grid = list(range(97))
-    assert ops_py.scan_assoc(grid, grid, grid) is None
-    assert ops_cy.scan_assoc(grid, grid, grid) is None
-
-
-@skip_no_ext
-def test_check_triples_agrees():
-    rng = random.Random(3)
-    for _ in range(150):
-        los, his = random_set_arrays(rng)
-        flat = [rng.choice(his) for _ in range(3 * rng.randint(0, 12))]
-        assert ops_py.check_triples(los, his, flat) == ops_cy.check_triples(
-            los, his, flat
-        )
-
-
-@skip_no_ext
-def test_scan_four_values_agrees():
-    rng = random.Random(4)
-    for _ in range(200):
-        pts = sorted(rng.sample(range(0, 60), rng.randint(1, 8)))
-        assert ops_py.scan_four_values(pts) == ops_cy.scan_four_values(pts)
-
-
-@skip_no_ext
-def test_closure_step_agrees():
-    rng = random.Random(5)
-    for _ in range(150):
-        los, his = random_set_arrays(rng)
-        pool = [v for v in los + his]
-        pts = sorted({rng.choice(pool) for _ in range(rng.randint(1, 6))})
-        assert ops_py.closure_step(pts, los, his) == ops_cy.closure_step(
-            pts, los, his
-        )
-
-
-@skip_no_ext
 def test_all_pairs_completion_agrees():
+    # every other case is scaled so that max R nears 2**60, the largest
+    # bound _pick sends to the compiled kernel
     rng = random.Random(6)
-    for _ in range(80):
+    for case in range(80):
         los, his = random_set_arrays(rng)
         if los[0] > 0:  # ground sets carry 0; the kernels assume it
             los = [0] + los
@@ -150,17 +107,26 @@ def test_all_pairs_completion_agrees():
                 if rng.random() < 0.7:
                     w = rng.choice(weights)
                     flat[i * n + j] = flat[j * n + i] = w
+        if case % 2:
+            scale = 2**60 // his[-1]
+            los, his = [scale * v for v in los], [scale * v for v in his]
+            flat = [scale * v if v > 0 else v for v in flat]
         a = list(flat)
         b = list(flat)
         assert ops_py.all_pairs_completion(n, a, los, his) == (
-            ops_cy.all_pairs_completion(n, b, los, his)
+            ops_c.all_pairs_completion(n, b, los, his)
         )
+    # any negative entry marks an absent edge, and comes back as -1
+    for mod in (ops_py, ops_c):
+        assert mod.all_pairs_completion(2, [0, -5, -5, 0], [0], [1]) == [
+            0, -1, -1, 0,
+        ]
 
 
 @skip_no_ext
 def test_validate_metric_agrees():
     rng = random.Random(7)
-    for _ in range(200):
+    for case in range(200):
         n = rng.randint(1, 6)
         flat = [0] * (n * n)
         for i in range(n):
@@ -171,9 +137,93 @@ def test_validate_metric_agrees():
             for i in range(n):
                 for j in range(i + 1, n):
                     flat[j * n + i] = flat[i * n + j]
-        assert ops_py.validate_metric(n, flat) == ops_cy.validate_metric(
+        if case % 2:  # entries up to 6 * 2**57, near the 2**60 bound
+            flat = [v << 57 for v in flat]
+        assert ops_py.validate_metric(n, flat) == ops_c.validate_metric(
             n, flat
         )
+
+
+@skip_no_ext
+def test_compiled_module_holds_only_the_routed_kernels():
+    # a compiled kernel that _core does not route is dead code
+    public = {
+        name
+        for name in dir(ops_c)
+        if not name.startswith("_") and callable(getattr(ops_c, name))
+    }
+    assert public == {"all_pairs_completion", "validate_metric"}
+
+
+PATH = [0, 1, -1, 1, 0, 2, -1, 2, 0]  # a-b-c, no edge a-c
+SMALL = [0, 1, 2, 4]
+
+
+@skip_no_ext
+def test_compiled_error_paths():
+    # a walk sum below los[0]: both backends raise and leave d unchanged
+    for mod in (ops_py, ops_c):
+        d = list(PATH)
+        with pytest.raises(ValueError, match="no set element below"):
+            mod.all_pairs_completion(3, d, [5], [9])
+        assert d == PATH
+    with pytest.raises(TypeError, match="float"):
+        ops_c.all_pairs_completion(3, [*PATH[:-1], 0.0], SMALL, SMALL)
+    with pytest.raises(TypeError, match="NoneType"):
+        ops_c.all_pairs_completion(3, list(PATH), [0, None], SMALL)
+    with pytest.raises(TypeError, match="str"):
+        ops_c.validate_metric(1, ["0"])
+    # what C would read out of bounds or wrap is refused
+    with pytest.raises(ValueError, match="n \\* n"):
+        ops_c.validate_metric(2, [0, 1, 1])
+    with pytest.raises(ValueError, match="n \\* n"):
+        ops_c.all_pairs_completion(-1, [], SMALL, SMALL)
+    with pytest.raises(ValueError, match="differ in length"):
+        ops_c.all_pairs_completion(3, list(PATH), SMALL, SMALL[:-1])
+    for v in (2**60 + 1, -(2**60) - 1, 2**70):
+        with pytest.raises(OverflowError):
+            ops_c.validate_metric(1, [v])
+    assert ops_c.validate_metric(2, [0, 2**60, 2**60, 0]) is None
+
+
+@skip_no_ext
+def test_compiled_kernels_keep_no_references_or_memory():
+    # entries above 256 are ints of their own, so a lost reference to
+    # an input or a result shows in a refcount or in traced memory
+    big = [0, 300, 600, 900]
+    paths = [v * 300 if v > 0 else v for v in PATH]
+    bad = [0, 300, 1200, 300, 0, 600, 1200, 600, 0]  # 1200 > 300 + 600
+
+    def calls():
+        d = list(paths)
+        assert ops_c.all_pairs_completion(3, d, big, big) is d
+        assert d == [0, 300, 900, 300, 0, 600, 900, 600, 0]
+        assert ops_c.validate_metric(3, d) is None
+        assert ops_c.validate_metric(3, bad) == ("tri", 0, 2, 1)
+        # plain try blocks: pytest.raises keeps memory of its own
+        try:
+            ops_c.all_pairs_completion(3, list(paths), [1200], [1200])
+        except ValueError:
+            pass
+        try:
+            ops_c.validate_metric(3, [*bad[:-1], None])
+        except TypeError:
+            pass
+
+    watched = [paths, big, bad, *(v for v in paths + big + bad if v > 256)]
+    before = [sys.getrefcount(x) for x in watched]
+    calls()
+    assert [sys.getrefcount(x) for x in watched] == before
+    tracemalloc.start()
+    try:
+        calls()
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(2000):
+            calls()
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert grown < 8000, grown  # a lost 8-byte buffer a call would add 16 kB
 
 
 def test_unrouted_kernels_are_the_python_ones():
@@ -194,7 +244,7 @@ def test_pick_is_the_int64_guard(monkeypatch):
         all_pairs_completion=lambda n, d, los, his: "compiled",
         validate_metric=lambda n, d: "compiled",
     )
-    monkeypatch.setattr(_core, "ops_cy", compiled)
+    monkeypatch.setattr(_core, "ops_c", compiled)
     assert _core._pick(edge) is compiled
     assert _core._pick(edge + 1) is ops_py
     for v in (edge, -edge):

@@ -412,6 +412,13 @@ class TestCliContract:
         malformed.append(
             ("construct", "copy", "--input", good, "--embedding", "a,b")
         )
+        latin1 = tmp_path / "latin1.json"  # not UTF-8
+        latin1.write_bytes('{"intervals": [[0, 1]], "x": "\xe9"}'.encode("latin-1"))
+        malformed.append(("set", "check", "--input", str(latin1)))
+        for target in (tmp_path / "no" / "dir" / "x.json", tmp_path):
+            malformed.append(
+                ("cantor", "gen", "--weights", "1/2", "--output", str(target))
+            )
         for argv in malformed:
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, ""), argv

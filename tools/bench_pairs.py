@@ -14,7 +14,7 @@ the tree ``git write-tree`` makes of the index.  Each run lasts the
 their directions come from the same file.
 
 Each side is exported with ``git archive`` into a fresh directory, so no
-build output of the checkout (such as an in-place ``_ops_cy`` module) is
+build output of the checkout (such as an in-place ``_ops_c`` module) is
 carried over, and each copy imports whichever backend it finds.  For
 every workload, pair k runs both sides on seed k, the parent first for
 even k and the change first for odd k.  A pair whose two runs report
