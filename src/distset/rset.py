@@ -71,10 +71,6 @@ class RSet:
         self._scaled = None
 
     @classmethod
-    def from_points(cls, points: Iterable) -> "RSet":
-        return cls(list(points))
-
-    @classmethod
     def _from_ints(cls, den: int, ints: Sequence[int]) -> "RSet":
         """The finite set {v / den : v in ints}, for ascending, distinct,
         non-negative ``ints``, with its reduced integer image cached.
@@ -103,10 +99,6 @@ class RSet:
     @property
     def max_value(self) -> Fraction:
         return self._his[-1]
-
-    @property
-    def min_value(self) -> Fraction:
-        return self._los[0]
 
     @property
     def min_positive(self) -> Fraction | None:

@@ -13,7 +13,9 @@ witness arity is the finitary engine behind homogeneity and
 universality: every 3-point space is a 2-point space plus a
 prescription, so realizing every extension type of arity 2 (over some
 copy of its base configuration) makes the space universal for 3-point
-spaces over the same distance set.
+spaces over the same distance set.  The saturation builder and
+:func:`find_unrealized_katetov` read one record of the types a space
+realizes, kept by ``_SaturationState``.
 
 The embedding searches in this module (isometric embedding,
 monochromatic or near-monochromatic copies, low-oscillation copies,
@@ -185,28 +187,12 @@ def realizes(space: FiniteMetricSpace, func: KatetovFunction) -> bool:
     )
 
 
-def _first_unrealized(rows: list[list[int]], positive, arity: int):
-    """The first ``(subset, prescription)`` over point indices, by size,
-    then ``combinations`` and :func:`_katetov_ints` order, whose class
-    (:func:`_canonical_form` of the base rows and the values) no point
-    realizes over a subset of that size; None when there is none."""
-    n = len(rows)
-    for size in range(1, arity + 1):
-        subsets = [
-            (sub, [[rows[a][b] for b in sub] for a in sub])
-            for sub in itertools.combinations(range(n), size)
-        ]
-        witnessed = {
-            _canonical_form(size, base, [rows[z][p] for p in sub])
-            for sub, base in subsets
-            for z in range(n)
-            if z not in sub
-        }
-        for sub, base in subsets:
-            for vals in _katetov_ints(rows, sub, positive):
-                if _canonical_form(size, base, vals) not in witnessed:
-                    return sub, vals
-    return None
+def _require_count(value, what: str) -> None:
+    """ParameterError unless ``value`` is an int (not a bool) of at least 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParameterError(f"{what} must be an integer, not {value!r}")
+    if value < 1:
+        raise ParameterError(f"{what} must be at least 1")
 
 
 def find_unrealized_katetov(
@@ -222,10 +208,12 @@ def find_unrealized_katetov(
     representative over the first subset in point order exhibiting an
     unrealized type, or None when the space is saturated at this arity.
     """
-    if arity < 1:
-        raise ParameterError("arity must be at least 1")
+    _require_count(arity, "arity")
     den, rows, positive = _value_image(space, values)
-    hit = _first_unrealized(rows, positive, arity)
+    state = _SaturationState(positive, arity)
+    for m, row in enumerate(rows):
+        state.add_point(row[:m])
+    hit = state.first_unrealized()
     return None if hit is None else _katetov_function(space, den, *hit)
 
 
@@ -233,67 +221,91 @@ def find_unrealized_katetov(
 
 
 class _SaturationState:
-    """Realized one-point-extension types of arity <= 2.
+    """The record of realized one-point-extension types of a growing
+    space ``d`` (an int matrix): ``witnessed`` holds the
+    :func:`_canonical_form` key of every (base subset of up to ``arity``
+    points, distances of one further point to it) that occurs.
 
-    Tracks which distances occur at all (the singleton types) and, per
-    occurring pair distance, which unordered value pairs have a witness
-    somewhere.  Both requirement sets live over the value set only, so
-    they are finite and independent of the point count.  Distances are
-    the value set's scaled ints.
+    Keys over one and two base points, ``(v,)`` and ``(dist, a, b)``
+    with a <= b, are built by hand per point.  Larger keys cost k!
+    orderings each and only :meth:`first_unrealized` reads them, so they
+    are recorded from its first call on: it catches up over the points
+    so far, and each later point adds its own.
     """
 
-    def __init__(self, positive: list[int]):
+    def __init__(self, positive: list[int], arity: int):
         self.positive = positive
-        self.pair_types: dict[int, list] = {}
-        self.present: set[int] = set()
+        self.arity = arity
+        self.d: list[list[int]] = []
         self.witnessed: set[tuple] = set()
+        self.recorded = 2  # the largest base size whose keys are recorded
         self.instances: dict[int, list[tuple[int, int]]] = {}
+        self.pair_keys: dict[int, list[tuple]] = {}  # by distance, built once
 
-    def admissible(self, d: int):
-        """Unordered admissible value pairs for a base pair at distance d."""
-        if d not in self.pair_types:
-            base = [[0, d], [d, 0]]
-            self.pair_types[d] = [
-                (f1, f2)
-                for f1, f2 in _katetov_ints(base, (0, 1), self.positive)
-                if f1 <= f2
-            ]
-        return self.pair_types[d]
-
-    def add_point(self, d: list[list[int]]) -> None:
-        m = len(d) - 1
-        row = d[m]
-        witness = self.witnessed.add
+    def add_point(self, row: list[int]) -> None:
+        """Adjoin a point at distances ``row`` to the earlier points and
+        record the keys it takes part in."""
+        d, m, witness = self.d, len(self.d), self.witnessed.add
+        for a in range(m):
+            d[a].append(row[a])
+        d.append(row + [0])
         for i in range(m):
-            a, base = row[i], d[i]
-            for j in range(i + 1, m):
-                b = row[j]
-                witness((base[j], a, b) if a <= b else (base[j], b, a))
-        for i in range(m):
-            dist = row[i]
-            self.present.add(dist)
-            self.instances.setdefault(dist, []).append((i, m))
-            for z in range(m):
-                if z != i:
-                    a, b = d[z][i], row[z]
-                    witness((dist, a, b) if a <= b else (dist, b, a))
+            a = row[i]
+            witness((a,))
+            self.instances.setdefault(a, []).append((i, m))
+            # the triangle i, z, m witnesses a pair type over each side
+            for z in range(i + 1, m):
+                b, c = row[z], d[i][z]
+                witness((c, a, b) if a <= b else (c, b, a))
+                witness((a, b, c) if b <= c else (a, c, b))
+                witness((b, a, c) if a <= c else (b, c, a))
+        for size in range(3, self.recorded + 1):
+            self._record(m, size)
 
-    def missing(self, arity: int) -> list[tuple]:
-        out: list[tuple] = [
-            ("single", v) for v in self.positive if v not in self.present
-        ]
-        if arity >= 2:
-            for dist in sorted(self.present):
-                for f1, f2 in self.admissible(dist):
-                    if (dist, f1, f2) not in self.witnessed:
-                        out.append(("pair", dist, f1, f2))
+    def _record(self, m: int, size: int) -> None:
+        """Add the keys over ``size`` base points among the points up to
+        ``m`` in which ``m`` is a base point or the further point."""
+        d, witness = self.d, self.witnessed.add
+        for sub in itertools.combinations(range(m + 1), size):
+            base = [[d[a][b] for b in sub] for a in sub]
+            for z in range(m) if sub[-1] == m else (m,):
+                if z not in sub:
+                    witness(_canonical_form(size, base, [d[z][p] for p in sub]))
+
+    def missing(self) -> list[tuple]:
+        """The unwitnessed keys over one base point and, at arity >= 2,
+        over two base points at an occurring distance: ``(v,)`` and
+        ``(v, f1, f2)`` with f1 <= f2, in value order."""
+        have, positive = self.witnessed, self.positive
+        out = [(v,) for v in positive if (v,) not in have]
+        if self.arity >= 2:
+            for v in positive:
+                if (v,) in have and v not in self.pair_keys:
+                    self.pair_keys[v] = [
+                        (v, f1, f2)
+                        for f1, f2 in _katetov_ints([[0, v], [v, 0]], (0, 1), positive)
+                        if f1 <= f2
+                    ]
+                out += [k for k in self.pair_keys.get(v, ()) if k not in have]
         return out
 
-    def still_missing(self, req: tuple) -> bool:
-        if req[0] == "single":
-            return req[1] not in self.present
-        _, dist, f1, f2 = req
-        return (dist, f1, f2) not in self.witnessed
+    def first_unrealized(self):
+        """The first ``(subset, prescription)`` over point indices, by
+        size up to the arity, then ``combinations`` and
+        :func:`_katetov_ints` order, whose key is not witnessed; None
+        when there is none."""
+        d = self.d
+        while self.recorded < self.arity:
+            self.recorded += 1
+            for m in range(len(d)):
+                self._record(m, self.recorded)
+        for size in range(1, self.arity + 1):
+            for sub in itertools.combinations(range(len(d)), size):
+                base = [[d[a][b] for b in sub] for a in sub]
+                for vals in _katetov_ints(d, sub, self.positive):
+                    if _canonical_form(size, base, vals) not in self.witnessed:
+                        return sub, vals
+        return None
 
 
 class SaturationCapWarning(UserWarning):
@@ -333,10 +345,8 @@ def build_saturated_space(
     """
     if not values.is_finite() or not values.contains(0):
         raise ParameterError("need a finite value set containing 0")
-    if max_points < 1:
-        raise ParameterError("max_points must be at least 1")
-    if witness_arity < 1:
-        raise ParameterError("witness arity must be at least 1")
+    _require_count(max_points, "max_points")
+    _require_count(witness_arity, "witness arity")
     report = check_4values(values)
     if not report.passed:
         raise CheckFailedError(
@@ -346,17 +356,17 @@ def build_saturated_space(
     # the matrix is kept as ints over the value set's denominator
     den, los, his = values.scaled()
     positive = [v for v in los if v > 0]
-    pts = ["p0"]
-    d: list[list[int]] = [[0]]
-    state = _SaturationState(positive)
+    state = _SaturationState(positive, witness_arity)
+    state.add_point([])
+    d = state.d
     rng = random.Random(seed)
 
     def realize(subset: tuple[int, ...], prescription: tuple) -> None:
-        row: list[int | None] = [None] * len(pts)
+        row: list[int | None] = [None] * len(d)
         for pos, i in enumerate(subset):
             row[i] = prescription[pos]
         fixed = list(subset)
-        for w in range(len(pts)):
+        for w in range(len(d)):
             if row[w] is not None:
                 continue
             lo = max(abs(row[x] - d[x][w]) for x in fixed)
@@ -366,33 +376,18 @@ def build_saturated_space(
             ]
             if not choices:
                 raise CompletionError(
-                    f"no admissible distance for the new point at {pts[w]}"
+                    f"no admissible distance for the new point at p{w}"
                 )
             row[w] = rng.choice(choices)
             fixed.append(w)
-        for a in range(len(pts)):
-            d[a].append(row[a])
-        d.append(row + [0])
-        pts.append(f"p{len(pts)}")
-        state.add_point(d)
-
-    def realize_requirement(req: tuple) -> None:
-        if req[0] == "single":
-            anchor = rng.randrange(len(pts))
-            realize((anchor,), (req[1],))
-        else:
-            _, dist, f1, f2 = req
-            i, j = rng.choice(state.instances[dist])
-            realize((i, j), (f1, f2))
+        state.add_point(row)
 
     while True:
-        missing = state.missing(witness_arity)
-        hit = None
-        if not missing and witness_arity > 2:
-            hit = _first_unrealized(d, positive, witness_arity)
+        missing = state.missing()
+        hit = None if missing or witness_arity < 3 else state.first_unrealized()
         if not missing and hit is None:
             break
-        if len(pts) >= max_points:
+        if len(d) >= max_points:
             warnings.warn(
                 f"the point cap of {max_points} stopped the build before "
                 f"saturation: a type of arity <= {witness_arity} is unrealized",
@@ -405,10 +400,15 @@ def build_saturated_space(
             continue
         rng.shuffle(missing)
         for req in missing:
-            if len(pts) >= max_points:
+            if len(d) >= max_points:
                 break
-            if state.still_missing(req):
-                realize_requirement(req)
+            if req in state.witnessed:
+                continue
+            if len(req) == 1:
+                realize((rng.randrange(len(d)),), req)
+            else:
+                realize(rng.choice(state.instances[req[0]]), req[1:])
+    pts = [f"p{i}" for i in range(len(d))]
     flat = [x for row in d for x in row]
     return FiniteMetricSpace._from_image(values, pts, (den, los, his, flat))
 
@@ -496,8 +496,7 @@ def check_universality(
     matrix assignments plus candidates tried by the shared search core.
     """
     den, dist, positive = _value_image(space, values)
-    if n < 1:
-        raise ParameterError("n must be at least 1")
+    _require_count(n, "n")
     counter = [budget]
     cands = list(range(len(space.points)))
 
@@ -583,8 +582,7 @@ def check_extension_property(
     point x outside the domain, some y outside the image must extend the
     map; the first stuck pair is the witness.
     """
-    if k < 1:
-        raise ParameterError("k must be at least 1")
+    _require_count(k, "k")
     pts = space.points
     n = len(pts)
     dist = space._int_rows()

@@ -83,3 +83,13 @@ def test_summary_layout_matches_bench_10():
     pair = (bench_pairs.parse_run(canned(op_p50_s=0.2)),) * 2
     out = bench_pairs.summarize([pair], {"op_p50_s": "lower"})
     assert set(out["op_p50_s"]) == set(committed)
+
+
+def test_src_lines_counts_python_and_c_sources(tmp_path):
+    core = tmp_path / "src" / "distset" / "_core"
+    core.mkdir(parents=True)
+    (tmp_path / "src" / "distset" / "spaces.py").write_text("a = 1\nb = 2\n")
+    (core / "_ops_c.c").write_text("int x;\nint y;\nint z;\n")
+    (core / "_ops_c.so").write_text("not\nsource\n")
+    assert bench_pairs.src_lines(tmp_path) == 5
+    assert bench_pairs.SRC_LINES.endswith("src/distset/_core/*.c")

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 import warnings
 from fractions import Fraction as F
@@ -195,6 +197,45 @@ class TestSaturation:
             kinds = [w.category for w in caught]
             assert kinds == ([SaturationCapWarning] if warns else []), (cap, arity)
 
+    # sha256 of the JSON of three seeded arity-3 builds; the last one is
+    # stopped by its cap
+    PINNED_ARITY_3 = (
+        (S0123, 80, 1, 14, "850104710a6fcf1c710d87bfbafe19d3"
+                           "098cd181b0abce09afb101176f3f6317"),
+        (RSet([0, F(1, 2), 1]), 60, 2, 9, "be38e27122d774e348a748320cebcb41"
+                                          "0b5e8557b86360b7e763b10caf8c160e"),
+        (S0123, 10, 1, 10, "b2abd5a497d09b61dc06887db542f334"
+                           "6a2e46047b08a6bd1c489b0865b2e57b"),
+    )
+
+    @pytest.mark.parametrize("values, cap, seed, size, digest", PINNED_ARITY_3)
+    def test_pinned_arity_three_builds(self, values, cap, seed, size, digest):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            m = build_saturated_space(
+                values, max_points=cap, witness_arity=3, seed=seed
+            )
+        assert len(m) == size
+        assert len(caught) == (size == cap)
+        text = json.dumps(m.to_json_obj(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("bad", [0, -2, 5.5, 2.0, True, False, "3", None])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c: build_saturated_space(S012, max_points=c),
+            lambda c: build_saturated_space(S012, witness_arity=c),
+            lambda c: find_unrealized_katetov(path_112(), S012, c),
+            lambda c: check_universality(path_112(), S012, c),
+            lambda c: check_extension_property(path_112(), c),
+        ],
+        ids=["max_points", "witness_arity", "arity", "n", "k"],
+    )
+    def test_counts_are_plain_ints_of_at_least_one(self, call, bad):
+        with pytest.raises(ParameterError, match="an integer|at least 1"):
+            call(bad)
+
     def test_unrealized_type_is_returned(self):
         m = FiniteMetricSpace(S012, ["a", "b"], [[0, 1], [1, 0]])
         func = find_unrealized_katetov(m, S012, 1)
@@ -249,10 +290,21 @@ class TestFractionOracles:
     def test_find_unrealized_katetov(self):
         hits = set()
         cases = list(_oracle_cases(73, 60))
-        for values in (S012, RSet([0, F(1, 2), 1])):
-            for arity in (1, 2):
-                m = build_saturated_space(values, max_points=30, seed=arity)
+        rng = random.Random(89)
+        mixed = RSet([0, F(1, 3), F(1, 2), F(5, 6), 1])
+        for values in (S012, RSet([0, F(1, 2), 1]), mixed):
+            for arity in (1, 2, 3):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", SaturationCapWarning)
+                    m = build_saturated_space(
+                        values, max_points=12, witness_arity=arity, seed=arity
+                    )
                 cases.append((None, m, values))
+                # a subspace lacks some of the types its space realizes
+                sub = rng.sample(list(m.points), rng.randint(2, min(7, len(m))))
+                cases.append((None, m.subspace(sub), values))
+        # spaces realizing distances outside the value set
+        cases += [(None, path_112(), RSet([0, 1])), (None, quarter_path(), S012)]
         for rng, m, values in cases:
             positive = [v for v in values.points() if v > 0]
             for arity in (1, 2, 3):

@@ -46,7 +46,8 @@ COMMAND = (
 )
 ORDER = "pair k runs the parent first for even k and the change first for odd k"
 QUARTILES = "statistics.quantiles(n=4, method='inclusive')"
-SRC_LINES = "wc -l src/distset/*.py src/distset/_core/*.py"
+SRC_GLOBS = ("src/distset/*.py", "src/distset/_core/*.py", "src/distset/_core/*.c")
+SRC_LINES = "wc -l " + " ".join(SRC_GLOBS)
 
 
 class BackendMismatch(ValueError):
@@ -109,8 +110,10 @@ def summarize(pairs: list, better: dict[str, str]) -> dict:
 
 
 def src_lines(root: Path) -> int:
+    """Lines of the library's source files under ``root``: the Python
+    modules and the extension's C file."""
     total = 0
-    for pattern in ("src/distset/*.py", "src/distset/_core/*.py"):
+    for pattern in SRC_GLOBS:
         for path in sorted(glob.glob(str(root / pattern))):
             with open(path, encoding="utf-8") as fh:
                 total += sum(1 for _ in fh)
