@@ -5,9 +5,8 @@ where it measured faster: with ``all_pairs_completion`` and
 ``validate_metric`` compiled, graph-bridge ran 153.1 ops/s (median of
 seeds 11-15) against 19.5 on pure Python (median of seeds 31-33)
 (``perfbench/run.py``, 20 s, untraced, 2-core x86_64, Python 3.11).
-``_pick`` takes the compiled kernel when it imported and one bound read
-off the caller's image fits int64, else ``ops_py`` (arbitrary precision,
-the same results bit for bit).
+Each calls ``ops_c`` when it imported, and arbitrary-precision ``ops_py``
+when the C file, the one int64 guard, refuses an entry (OverflowError).
 
 Every other kernel is the ``ops_py`` function on every backend: compiled,
 ``scan_assoc``, ``closure_step`` and ``scan_four_values`` were slower on
@@ -41,28 +40,24 @@ else:
     except ImportError:
         ops_c = None
 
-# Kernels form sums of at most three scaled values; cap inputs so that
-# 4 * max < 2**63 keeps all intermediates inside int64.
-_INT64_SAFE = 2**60
-
 
 def backend_name() -> str:
     return "c" if ops_c is not None else "python"
 
 
-def _pick(bound: int):
-    if ops_c is not None and bound <= _INT64_SAFE:
-        return ops_c
-    return ops_py
-
-
 def all_pairs_completion(n, d, los, his):
-    # entries are -1, 0 or members, so none exceeds max R
-    return _pick(his[-1]).all_pairs_completion(n, d, los, his)
+    if ops_c is not None:
+        try:
+            return ops_c.all_pairs_completion(n, d, los, his)
+        except OverflowError:
+            pass
+    return ops_py.all_pairs_completion(n, d, los, his)
 
 
 def validate_metric(n, d):
-    # user matrices: entries are not yet known to be members, so the bound
-    # is their largest magnitude, scanned only when the extension could run
-    bound = max(max(d, default=0), -min(d, default=0)) if ops_c else 0
-    return _pick(bound).validate_metric(n, d)
+    if ops_c is not None:
+        try:
+            return ops_c.validate_metric(n, d)
+        except OverflowError:
+            pass
+    return ops_py.validate_metric(n, d)

@@ -2,12 +2,13 @@
 
 ``all_pairs_completion`` and ``validate_metric`` return what their
 ``ops_py`` twins return, bit for bit, and raise ValueError where they
-do.  Inputs are Python ints scaled to a common denominator.  ``_core``
-routes here only when one bound read off the input is at most
-LIMIT = 2**60, so every sum of three entries fits in int64.  Input that
-C would read out of bounds or wrap raises instead: an entry that is not
-an int (TypeError) or lies outside [-LIMIT, LIMIT] (OverflowError), a d
-that is not n by n, or los and his of different lengths (ValueError).
+do.  Inputs are Python ints scaled to a common denominator.  This file
+alone guards the int64 range: read_int refuses an entry outside
+[-LIMIT, LIMIT], LIMIT = 2**60, so every sum of three entries fits, and
+``_core`` answers that OverflowError with ``ops_py``.  Input that C
+would read out of bounds or wrap raises before d is written: an entry
+that is not an int (TypeError) or out of range (OverflowError), a d that
+is not n by n, or los and his of different lengths (ValueError).
 */
 
 #define PY_SSIZE_T_CLEAN
@@ -36,6 +37,16 @@ read_int(PyObject *v, i64 *out)
         return -1;
     }
     return 0;
+}
+
+/* An "O&" converter for n.  An n that does not fit Py_ssize_t raises
+   ValueError: OverflowError is kept for entries, so that _core's
+   fallback to ops_py never sees an n that no matrix can have. */
+static int
+read_n(PyObject *v, void *out)
+{
+    *(Py_ssize_t *)out = PyNumber_AsSsize_t(v, PyExc_ValueError);
+    return !(*(Py_ssize_t *)out == -1 && PyErr_Occurred());
 }
 
 /* A PyMem_Malloc'ed copy of a sequence of ints, its length in *len;
@@ -81,8 +92,8 @@ all_pairs_completion(PyObject *self, PyObject *args)
 {
     Py_ssize_t n, total, m, mh;
     PyObject *d, *los_obj, *his_obj, *result = NULL;
-    if (!PyArg_ParseTuple(args, "nOOO:all_pairs_completion",
-                          &n, &d, &los_obj, &his_obj))
+    if (!PyArg_ParseTuple(args, "O&OOO:all_pairs_completion",
+                          read_n, &n, &d, &los_obj, &his_obj))
         return NULL;
     i64 *dd = copy_ints(d, &total), *orig = NULL, *los = NULL, *his = NULL;
     if (dd == NULL || !is_square(n, total)
@@ -159,7 +170,7 @@ validate_metric(PyObject *self, PyObject *args)
 {
     Py_ssize_t n, total;
     PyObject *d, *result = NULL;
-    if (!PyArg_ParseTuple(args, "nO:validate_metric", &n, &d))
+    if (!PyArg_ParseTuple(args, "O&O:validate_metric", read_n, &n, &d))
         return NULL;
     i64 *dd = copy_ints(d, &total);
     if (dd == NULL || !is_square(n, total))

@@ -8,8 +8,9 @@ operation here, so integer arithmetic stays exact.
 
 ``_ops_c.c`` compiles ``all_pairs_completion`` and ``validate_metric``
 with bit-identical results; ``distset._core`` routes those two there
-(where it measured faster) when their inputs fit int64, and serves every
-other kernel from here on every backend.
+(where it measured faster) and here when the C file, the one int64
+guard, refuses an entry, and serves every other kernel from here on
+every backend.
 
 Set representation: two parallel sorted lists ``los``/``his`` of closed
 interval endpoints, pairwise disjoint and ascending.  Finite point sets

@@ -16,7 +16,7 @@ import warnings
 
 from . import approx, cantor, checks, construction, rgraph, spaces
 from .errors import DistSetError, ParameterError
-from .rationals import as_rational
+from .rationals import as_rational, is_int
 from .rgraph import FiniteMetricSpace, RGraph
 from .rset import RSet
 
@@ -144,7 +144,7 @@ def _bridge_and_depth(args) -> tuple:
     depth = args.depth if args.depth is not None else obj.get("depth")
     if depth is None:
         raise DistSetError("give --depth or a 'depth' key in the input JSON")
-    if not isinstance(depth, int) or isinstance(depth, bool):
+    if not is_int(depth):
         raise ParameterError(f"depth must be an integer: {depth!r}")
     return bridge, depth
 

@@ -42,7 +42,7 @@ from .errors import (
     NotMetricError,
     ParameterError,
 )
-from .rationals import as_rational, rational_str
+from .rationals import as_int, as_rational, is_int, rational_str
 from .rgraph import FiniteMetricSpace, RGraph, complete_to_metric_space
 from .rset import RSet
 
@@ -70,7 +70,7 @@ class BridgeInput:
             index_map = tuple(self.index_map)
         except TypeError as exc:
             raise ParameterError("index map must be a list of indices") from exc
-        if any(not isinstance(i, int) or isinstance(i, bool) for i in index_map):
+        if not all(map(is_int, index_map)):
             raise ParameterError(f"index map entries must be integers: {index_map}")
         object.__setattr__(self, "index_map", index_map)
         n = len(self.space_u.points)
@@ -209,7 +209,7 @@ def build_tree(
     """
     u = bridge.space_u
     n_points = len(u.points)
-    if not 1 <= depth <= n_points:
+    if not 1 <= as_int(depth, "depth") <= n_points:
         raise ParameterError(
             f"depth must lie in 1..{n_points} (points of U), got {depth}"
         )
@@ -354,8 +354,8 @@ def find_nearby_copy(
     exactly r from the image of U.
     """
     u = bridge.space_u
-    emb = tuple(int(i) for i in embedding)
-    if len(emb) < depth:
+    emb = tuple(as_int(i, "embedding index", NotAnEmbeddingError) for i in embedding)
+    if len(emb) < as_int(depth, "depth"):
         raise NotAnEmbeddingError(
             f"embedding must cover the first {depth} indices"
         )

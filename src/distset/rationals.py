@@ -23,15 +23,25 @@ def as_list(value) -> list:
     return list(value)
 
 
-def as_rational(value) -> Fraction:
-    """Coerce ``value`` (Fraction, int, or ``"p/q"`` string) to a Fraction.
+def is_int(value) -> bool:
+    """Whether ``value`` is an int and not a bool: JSON ``true`` and
+    ``false`` are never read as 1 and 0."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    ``bool`` is an ``int`` subclass but not a rational: JSON ``true`` and
-    ``false`` are rejected, not read as 1 and 0.
-    """
+
+def as_int(value, what: str, error=ParameterError) -> int:
+    """``value`` itself if :func:`is_int`, else ``error`` naming ``what``."""
+    if not is_int(value):
+        raise error(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def as_rational(value) -> Fraction:
+    """Coerce ``value`` (Fraction, int, or ``"p/q"`` string) to a Fraction;
+    a bool is rejected, as :func:`is_int` rejects it."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
+    if is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         try:

@@ -28,7 +28,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import MembershipError, ParameterError, RangeError
-from .rationals import as_list, as_rational, lcm_denominator, rational_str
+from .rationals import as_list, as_rational, is_int, lcm_denominator, rational_str
 
 class RSet:
     """A nonempty finite union of closed rational intervals in [0, inf).
@@ -230,7 +230,7 @@ class RSet:
                 f"translation step {l} must exceed twice the maximum "
                 f"{self.max_value}"
             )
-        if not isinstance(copies, int) or copies < 1:
+        if not is_int(copies) or copies < 1:
             raise ParameterError("copies must be a positive integer")
         out = []
         for n in range(copies):

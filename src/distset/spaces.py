@@ -56,7 +56,7 @@ from .errors import (
     ParameterError,
     PartitionError,
 )
-from .rationals import as_rational, lcm_denominator, rational_str
+from .rationals import as_int, as_rational, is_int, lcm_denominator, rational_str
 from .rgraph import FiniteMetricSpace
 from .rset import RSet
 
@@ -103,7 +103,7 @@ class Coloring:
         if not isinstance(given, dict):
             raise ParameterError("colouring JSON must map 'parts' to an object")
         for p, c in given.items():
-            if not isinstance(c, int) or isinstance(c, bool):
+            if not is_int(c):
                 raise ParameterError(f"colour {c!r} of {p} is not an integer")
         return cls(parts={str(p): c for p, c in given.items()})
 
@@ -189,9 +189,7 @@ def realizes(space: FiniteMetricSpace, func: KatetovFunction) -> bool:
 
 def _require_count(value, what: str) -> None:
     """ParameterError unless ``value`` is an int (not a bool) of at least 1."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParameterError(f"{what} must be an integer, not {value!r}")
-    if value < 1:
+    if as_int(value, what) < 1:
         raise ParameterError(f"{what} must be at least 1")
 
 
@@ -241,6 +239,7 @@ class _SaturationState:
         self.recorded = 2  # the largest base size whose keys are recorded
         self.instances: dict[int, list[tuple[int, int]]] = {}
         self.pair_keys: dict[int, list[tuple]] = {}  # by distance, built once
+        self.saturated: set[tuple] = set()  # all keys witnessed, for good
 
     def add_point(self, row: list[int]) -> None:
         """Adjoin a point at distances ``row`` to the earlier points and
@@ -301,10 +300,13 @@ class _SaturationState:
                 self._record(m, self.recorded)
         for size in range(1, self.arity + 1):
             for sub in itertools.combinations(range(len(d)), size):
+                if sub in self.saturated:
+                    continue
                 base = [[d[a][b] for b in sub] for a in sub]
                 for vals in _katetov_ints(d, sub, self.positive):
                     if _canonical_form(size, base, vals) not in self.witnessed:
                         return sub, vals
+                self.saturated.add(sub)
         return None
 
 
@@ -500,16 +502,14 @@ def check_universality(
     counter = [budget]
     cands = list(range(len(space.points)))
 
-    for k in range(1, n + 1):
-        if k == 1:
-            if len(space.points) >= 1:
-                continue
-            return CheckReport(
-                check="universality",
-                verdict=VERDICT_FAILED,
-                witness={},
-                note="the space is empty",
-            )
+    if not space.points:
+        return CheckReport(
+            check="universality",
+            verdict=VERDICT_FAILED,
+            witness={},
+            note="the space is empty",
+        )
+    for k in range(2, n + 1):
         seen: set[tuple] = set()
         for matrix in _enumerate_matrices(k, positive, counter):
             canon = _canonical_form(k, matrix)
@@ -587,51 +587,37 @@ def check_extension_property(
     n = len(pts)
     dist = space._int_rows()
     counter = [budget]
-    stuck: list[tuple] = []
 
-    def extendable(dom: list[int], img: list[int], x: int) -> bool:
-        for y in range(n):
-            if y in img:
+    def extends(a: int, b: int, dom: list[int], img: list[int]) -> bool:
+        """Does a -> b extend the partial isometry dom -> img?"""
+        return b not in img and all(
+            dist[a][p] == dist[b][q] for p, q in zip(dom, img)
+        )
+
+    def stuck(dom: list[int], img: list[int]):
+        """The first (domain, image, x) no y extends over, or None."""
+        for x in range(n) if dom else ():
+            if x in dom:
                 continue
-            if all(
-                dist[y][img[t]] == dist[x][dom[t]] for t in range(len(dom))
-            ):
-                return True
-        return False
-
-    def rec(dom: list[int], img: list[int]) -> bool:
-        if dom:
-            for x in range(n):
-                if x in dom:
-                    continue
-                if counter[0] <= 0:
-                    raise BudgetError("extension-check budget exhausted")
-                counter[0] -= 1
-                if not extendable(dom, img, x):
-                    stuck.append((list(dom), list(img), x))
-                    return False
+            if counter[0] <= 0:
+                raise BudgetError("extension-check budget exhausted")
+            counter[0] -= 1
+            if not any(extends(x, y, dom, img) for y in range(n)):
+                return dom, img, x
         if len(dom) == k:
-            return True
-        start = dom[-1] + 1 if dom else 0
-        for a in range(start, n):
+            return None
+        for a in range(dom[-1] + 1 if dom else 0, n):
             for b in range(n):
-                if b in img:
-                    continue
-                if any(
-                    dist[a][dom[t]] != dist[b][img[t]] for t in range(len(dom))
-                ):
-                    continue
-                dom.append(a)
-                img.append(b)
-                if not rec(dom, img):
-                    return False
-                dom.pop()
-                img.pop()
-        return True
+                if extends(a, b, dom, img):
+                    hit = stuck(dom + [a], img + [b])
+                    if hit is not None:
+                        return hit
+        return None
 
-    if rec([], []):
+    hit = stuck([], [])
+    if hit is None:
         return CheckReport(check="extension", verdict=VERDICT_EXHAUSTIVE)
-    dom, img, x = stuck[0]
+    dom, img, x = hit
     return CheckReport(
         check="extension",
         verdict=VERDICT_FAILED,
@@ -658,7 +644,7 @@ def find_order_embedding(
     core over increasing indices: one budget unit per candidate tried.
     """
     targets = sorted({space.index(p) for p in target})
-    want = len(space.points) if length is None else length
+    want = len(space.points) if length is None else as_int(length, "length")
     if want < 0 or want > len(space.points):
         raise ParameterError("length must be between 0 and the point count")
     dist = space._int_rows()

@@ -204,6 +204,29 @@ class TestFourValues:
             assert rep.verdict == VERDICT_FAILED
             assert recheck_witness(r, rep)
 
+    def test_recheck_rejects_what_does_not_witness_the_failure(self):
+        # the quadruple (5, 3, 1, 1) with x = 2, the one value linking
+        # (5,3)|(1,1); the window [4, 4] of (5,1)|(1,3) misses the set
+        r = RSet([0, 1, 2, 3, 5])
+        rep = check_4values(r)
+        w = rep.witness
+        assert w == {"a": 5, "b": 3, "c": 1, "d": 1, "x": 2}
+        assert (rep.lhs, rep.rhs) == (4, 4)
+        assert recheck_witness(r, rep)
+        rejected = [
+            replace(rep, verdict=VERDICT_EXHAUSTIVE),
+            replace(rep, witness=None),
+            replace(rep, witness={**w, "a": F(2)}),  # max(b, c, d) > a
+            replace(rep, witness={**w, "x": F(5)}),  # outside [2, 2]
+            replace(rep, lhs=F(3)),  # not the rearranged window
+            replace(rep, witness={"a": F(5), "b": F(3)}),  # unknown shape
+        ]
+        for report in rejected:
+            assert not recheck_witness(r, report), report
+        # 5 is no member here, and 4 fills the window there
+        assert not recheck_witness(RSet([0, 1, 2, 3]), rep)
+        assert not recheck_witness(RSet([0, 1, 2, 3, 4, 5]), rep)
+
     def test_matches_definition_oracle_small(self):
         rng = random.Random(3)
         for _ in range(40):

@@ -356,3 +356,28 @@ class TestNearbyCopy:
             find_nearby_copy(space_l, [1, 0, 2], desk_bridge, 3)
         with pytest.raises(NotAnEmbeddingError):
             find_nearby_copy(space_l, [0], desk_bridge, 3)
+
+    @pytest.mark.parametrize(
+        "embedding", [[0, 1.9, 3], [0, 1.0, 2], [0, "1", 2], [0, True, 2]]
+    )
+    def test_embedding_entries_must_be_ints(self, desk_bridge, embedding):
+        _, space_l = build_H_and_L(desk_bridge, 3)
+        with pytest.raises(NotAnEmbeddingError, match="must be an integer"):
+            find_nearby_copy(space_l, embedding, desk_bridge, 3)
+
+
+@pytest.mark.parametrize("depth", [True, False, 2.0, 2.5, "2", None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b, depth: build_tree(b, derive_companion_W(b), depth),
+        lambda b, depth: build_H_and_L(b, depth),
+        lambda b, depth: find_nearby_copy(
+            build_H_and_L(b, 3)[1], [0, 1, 2], b, depth
+        ),
+    ],
+    ids=["build_tree", "build_H_and_L", "find_nearby_copy"],
+)
+def test_depth_is_a_plain_int(desk_bridge, call, depth):
+    with pytest.raises(ParameterError, match="depth must be an integer"):
+        call(desk_bridge, depth)

@@ -88,7 +88,7 @@ def stage_candidates(weights):
 @skip_no_ext
 def test_all_pairs_completion_agrees():
     # every other case is scaled so that max R nears 2**60, the largest
-    # bound _pick sends to the compiled kernel
+    # entry the compiled kernel accepts
     rng = random.Random(6)
     for case in range(80):
         los, his = random_set_arrays(rng)
@@ -236,24 +236,77 @@ def test_unrouted_kernels_are_the_python_ones():
         assert getattr(_core, name) is getattr(ops_py, name), name
 
 
-def test_pick_is_the_int64_guard(monkeypatch):
-    # inclusive bound at 2**60, read off each routed kernel's input: a
-    # stand-in extension shows which backend a call went to
-    edge = 2**60
-    compiled = types.SimpleNamespace(
-        all_pairs_completion=lambda n, d, los, his: "compiled",
-        validate_metric=lambda n, d: "compiled",
+def test_overflow_in_the_compiled_kernel_is_answered_by_ops_py(monkeypatch):
+    # stand-in extensions: one that returns is used; one that refuses its
+    # input with OverflowError is answered by ops_py; nothing else is
+    def raising(exc):
+        def kernel(*args):
+            raise exc("refused")
+        return kernel
+
+    def stand_in(kernel):
+        return types.SimpleNamespace(
+            all_pairs_completion=kernel, validate_metric=kernel
+        )
+
+    bad = [0, 1, 4, 1, 0, 2, 4, 2, 0]  # 4 > 1 + 2
+    monkeypatch.setattr(_core, "ops_c", stand_in(lambda *args: "compiled"))
+    assert _core.all_pairs_completion(3, list(PATH), SMALL, SMALL) == "compiled"
+    assert _core.validate_metric(3, bad) == "compiled"
+    monkeypatch.setattr(_core, "ops_c", stand_in(raising(OverflowError)))
+    assert _core.all_pairs_completion(3, list(PATH), SMALL, SMALL) == (
+        ops_py.all_pairs_completion(3, list(PATH), SMALL, SMALL)
     )
-    monkeypatch.setattr(_core, "ops_c", compiled)
-    assert _core._pick(edge) is compiled
-    assert _core._pick(edge + 1) is ops_py
+    assert _core.validate_metric(3, bad) == ("tri", 0, 2, 1)
+    monkeypatch.setattr(_core, "ops_c", stand_in(raising(TypeError)))
+    with pytest.raises(TypeError, match="refused"):
+        _core.all_pairs_completion(3, list(PATH), SMALL, SMALL)
+    with pytest.raises(TypeError, match="refused"):
+        _core.validate_metric(3, bad)
+
+
+@skip_no_ext
+def test_compiled_kernels_guard_the_int64_range():
+    # inclusive at 2**60 in d, los and his alike; a refused d is left as
+    # it was, and _core then returns what ops_py returns
+    edge = 2**60
+    ground = [0, 1, 2, edge]
     for v in (edge, -edge):
-        assert _core.validate_metric(1, [v]) == "compiled"
-    for v in (edge + 1, -edge - 1):
-        assert _core.validate_metric(1, [v]) == ("diag", 0, 0)
-    assert _core.validate_metric(0, []) == "compiled"  # an empty matrix fits
-    assert _core.all_pairs_completion(1, [0], [0], [edge]) == "compiled"
-    assert _core.all_pairs_completion(1, [0], [0], [edge + 1]) == [0]
+        assert ops_c.validate_metric(1, [v]) == ("diag", 0, 0)
+    assert ops_c.validate_metric(2, [0, edge, edge, 0]) is None
+    assert ops_c.all_pairs_completion(
+        3, [0, 1, -edge, 1, 0, edge, -edge, edge, 0], ground, ground
+    ) == [0, 1, edge, 1, 0, edge, edge, edge, 0]
+    over = edge + 1
+    refused = [  # (d, los, his); each completion would write d
+        ([0, 1, -over, 1, 0, 2, -over, 2, 0], SMALL, SMALL),
+        ([0, 1, -1, 1, 0, over, -1, over, 0], [0, 1, 2, over], [0, 1, 2, over]),
+        (list(PATH), [0, 1, 2, over], [0, 1, 2, 4]),
+        (list(PATH), [0, 1, 2, 4], [0, 1, 2, over]),
+    ]
+    for d, los, his in refused:
+        given = list(d)
+        with pytest.raises(OverflowError):
+            ops_c.all_pairs_completion(3, d, los, his)
+        assert d == given
+        want = ops_py.all_pairs_completion(3, list(given), los, his)
+        assert want != given
+        assert _core.all_pairs_completion(3, d, los, his) == want
+    for v in (over, -over):
+        d = [0, v, v, 0]
+        with pytest.raises(OverflowError):
+            ops_c.validate_metric(2, d)
+        assert d == [0, v, v, 0]
+        assert _core.validate_metric(2, d) == ops_py.validate_metric(2, d)
+    assert _core.validate_metric(2, [0, over, over, 0]) is None
+    assert _core.validate_metric(2, [0, -over, -over, 0]) == ("pos", 0, 1)
+    # an n no matrix can have is refused, not handed to ops_py, whose
+    # completion would build 2**70 rows
+    for n in (2**70, -(2**70)):
+        with pytest.raises(ValueError, match="index-sized"):
+            _core.validate_metric(n, [0])
+        with pytest.raises(ValueError, match="index-sized"):
+            _core.all_pairs_completion(n, [0], [0], [1])
 
 
 def test_dispatcher_falls_back_on_huge_ints():

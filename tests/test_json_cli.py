@@ -424,6 +424,28 @@ class TestCliContract:
             assert (code, out) == (2, ""), argv
             assert err.startswith("error: "), argv
 
+    def test_bridge_input_rejections(self, capsys, tmp_path, desk_bridge):
+        # U = u0, u1, u2 and V = v0, v1 over {0, 1, 2, 3}, I = [0, 1]
+        bridge = desk_bridge.to_json_obj()
+        wide = RSet([0, 1, 2, 3, 5]).to_json_obj()
+        rows = [
+            ({"I": [0]}, "index map must enumerate all points of V"),
+            ({"I": [1, 1]}, "index map must be injective"),
+            ({"I": [0, 3]}, "index map entries must be indices into U"),
+            ({"V": {**bridge["V"], "points": ["u0", "v1"]}},
+             "U and V must use disjoint point ids"),
+            ({"r": "0"}, "r = 0 must be a positive member of the ground set"),
+            ({"r": "5/2"},
+             "r = 5/2 must be a positive member of the ground set"),
+            ({"V": {"set": wide, "points": ["v0", "v1"],
+                    "dist": [["0", "5"], ["5", "0"]]}},
+             "distance 5 lies outside the ground set"),
+        ]
+        for n, (change, message) in enumerate(rows):
+            path = write_json(tmp_path, f"bridge{n}.json", {**bridge, **change})
+            code, out, err = run_cli(capsys, "construct", "bridge", "--input", path)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), change
+
     def test_output_file_and_pretty(self, capsys, tmp_path):
         out_path = tmp_path / "out.json"
         code, out, _ = run_cli(

@@ -224,6 +224,11 @@ class TestTranslateUnion:
         with pytest.raises(ParameterError):
             RSet([0, 1]).translate_union(3, 0)
 
+    @pytest.mark.parametrize("copies", [-1, True, False, 2.0, "2", None])
+    def test_copies_is_a_plain_int(self, copies):
+        with pytest.raises(ParameterError, match="copies must be a positive integer"):
+            RSet([0, 1]).translate_union(3, copies)
+
     def test_translates_stay_associative(self):
         # blocks are too far apart for truncated sums to interact, so
         # the union inherits associativity from the base set

@@ -342,6 +342,11 @@ class TestUniversality:
     def test_single_point(self):
         assert check_universality(all_ones(1), S012, 1).passed
 
+    def test_empty_space(self):
+        rep = check_universality(FiniteMetricSpace(S012, [], []), S012, 2)
+        assert rep.verdict == VERDICT_FAILED
+        assert (rep.witness, rep.note) == ({}, "the space is empty")
+
     def test_missing_distance_two(self):
         rep = check_universality(all_ones(5), S012, 2)
         assert not rep.passed
@@ -417,6 +422,19 @@ class TestOrderEmbedding:
         m = path_112()
         assert find_order_embedding(m, ["a", "m"], length=3) is None
         assert find_order_embedding(m, ["a", "m"], length=2) == ("a", "m")
+
+    def test_length_must_lie_in_range(self):
+        m = path_112()
+        assert find_order_embedding(m, m.points, length=0) == ()
+        for length in (-1, 4):
+            with pytest.raises(ParameterError, match="between 0 and the point count"):
+                find_order_embedding(m, m.points, length=length)
+
+    @pytest.mark.parametrize("length", [True, False, 2.0, "2"])
+    def test_length_is_a_plain_int(self, length):
+        m = path_112()
+        with pytest.raises(ParameterError, match="length must be an integer"):
+            find_order_embedding(m, m.points, length=length)
 
     def test_order_constraint_bites(self):
         # the target points must appear in enumeration order
@@ -573,6 +591,42 @@ class TestBudgets:
         m = all_ones(6)
         with pytest.raises(BudgetError):
             find_order_embedding(m, m.points, budget=3)
+
+    def test_universality_enumeration_budget(self):
+        # one unit per value tried for a pair of the enumerated matrix,
+        # charged before the triangle test, shared with the embedding
+        # search: these budgets run out in the enumeration, the others
+        # below 51 (the smallest that passes) in the embedding search
+        m = build_saturated_space(S012, seed=0)
+        enumeration = []
+        for budget in range(51):
+            with pytest.raises(BudgetError) as info:
+                check_universality(m, S012, 3, budget=budget)
+            if str(info.value) == "universality enumeration budget exhausted":
+                enumeration.append(budget)
+            else:
+                assert str(info.value) == "embedding search budget exhausted"
+        assert enumeration == [
+            0, 3, 7, 8, 9, 14, 21, 22, 23, 27, 28, 29, 30, 31, 32, 33,
+        ]
+        assert check_universality(m, S012, 3, budget=51).passed
+
+    def test_extension_budget(self):
+        # one unit per point x tried against a partial isometry, charged
+        # before the search for its witness y
+        m = all_ones(5)
+        with pytest.raises(BudgetError, match="^extension-check budget exhausted$"):
+            check_extension_property(m, 2, budget=699)
+        assert check_extension_property(m, 2, budget=700).passed
+        m = _m7()
+        with pytest.raises(BudgetError, match="^extension-check budget exhausted$"):
+            check_extension_property(m, 2, budget=13)
+        rep = check_extension_property(m, 2, budget=14)
+        assert rep.witness == {"domain": ["m0", "m1"], "image": ["m0", "m2"], "x": "m4"}
+        with pytest.raises(BudgetError, match="^extension-check budget exhausted$"):
+            check_extension_property(m, 1, budget=8)
+        rep = check_extension_property(m, 1, budget=9)
+        assert rep.witness == {"domain": ["m0"], "image": ["m1"], "x": "m3"}
 
     def test_search_budgets(self):
         m = all_ones(6)
