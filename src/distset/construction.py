@@ -195,6 +195,15 @@ def _node_id(mapping: Sequence[int]) -> str:
     return "t" + ".".join(str(i) for i in mapping)
 
 
+def _check_depth(bridge: BridgeInput, depth: int) -> None:
+    """ParameterError unless ``depth`` is an int in 1..len(U)."""
+    n_points = len(bridge.space_u.points)
+    if not 1 <= as_int(depth, "depth") <= n_points:
+        raise ParameterError(
+            f"depth must lie in 1..{n_points} (points of U), got {depth}"
+        )
+
+
 def build_tree(
     bridge: BridgeInput,
     companion: FiniteMetricSpace,
@@ -209,10 +218,7 @@ def build_tree(
     """
     u = bridge.space_u
     n_points = len(u.points)
-    if not 1 <= as_int(depth, "depth") <= n_points:
-        raise ParameterError(
-            f"depth must lie in 1..{n_points} (points of U), got {depth}"
-        )
+    _check_depth(bridge, depth)
     if len(companion.points) != n_points:
         raise ParameterError("companion space must have one point per index")
 
@@ -347,15 +353,17 @@ def find_nearby_copy(
     """Extract the copy of V determined by a self-embedding of U.
 
     ``embedding`` lists the image indices of u_0, u_1, ... (at least
-    ``depth`` of them) and must be strictly increasing and isometric on
+    ``depth`` of them, and ``depth`` lies in 1..len(U), else
+    ParameterError) and must be strictly increasing and isometric on
     the first ``depth`` indices, else NotAnEmbeddingError.  The branch
     nodes of the embedding at levels in the index set form the copy;
     the copy's internal distances match V and every point is at distance
     exactly r from the image of U.
     """
+    _check_depth(bridge, depth)
     u = bridge.space_u
     emb = tuple(as_int(i, "embedding index", NotAnEmbeddingError) for i in embedding)
-    if len(emb) < as_int(depth, "depth"):
+    if len(emb) < depth:
         raise NotAnEmbeddingError(
             f"embedding must cover the first {depth} indices"
         )

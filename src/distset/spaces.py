@@ -14,8 +14,9 @@ universality: every 3-point space is a 2-point space plus a
 prescription, so realizing every extension type of arity 2 (over some
 copy of its base configuration) makes the space universal for 3-point
 spaces over the same distance set.  The saturation builder and
-:func:`find_unrealized_katetov` read one record of the types a space
-realizes, kept by ``_SaturationState``.
+:func:`find_unrealized_katetov` share ``_SaturationState``: the search
+core below decides its types over three or more base points, and it
+skips base subsets by isometry class.
 
 The embedding searches in this module (isometric embedding,
 monochromatic or near-monochromatic copies, low-oscillation copies,
@@ -219,16 +220,14 @@ def find_unrealized_katetov(
 
 
 class _SaturationState:
-    """The record of realized one-point-extension types of a growing
-    space ``d`` (an int matrix): ``witnessed`` holds the
-    :func:`_canonical_form` key of every (base subset of up to ``arity``
-    points, distances of one further point to it) that occurs.
-
-    Keys over one and two base points, ``(v,)`` and ``(dist, a, b)``
-    with a <= b, are built by hand per point.  Larger keys cost k!
-    orderings each and only :meth:`first_unrealized` reads them, so they
-    are recorded from its first call on: it catches up over the points
-    so far, and each later point adds its own.
+    """The realized one-point-extension types of a growing space ``d``
+    (an int matrix), as :func:`_canonical_form` keys of (base of up to
+    ``arity`` points, distances of one further point to it).
+    ``witnessed`` holds every key over one or two base points, ``(v,)``
+    and ``(dist, a, b)`` with a <= b, built by hand per point.  A key
+    over more base points is decided by the search core when
+    :meth:`first_unrealized` asks for it, and kept once found; base
+    subsets are skipped by isometry class once one has every key.
     """
 
     def __init__(self, positive: list[int], arity: int):
@@ -236,14 +235,13 @@ class _SaturationState:
         self.arity = arity
         self.d: list[list[int]] = []
         self.witnessed: set[tuple] = set()
-        self.recorded = 2  # the largest base size whose keys are recorded
         self.instances: dict[int, list[tuple[int, int]]] = {}
         self.pair_keys: dict[int, list[tuple]] = {}  # by distance, built once
-        self.saturated: set[tuple] = set()  # all keys witnessed, for good
+        self.saturated: set[tuple] = set()  # base classes, all keys witnessed
 
     def add_point(self, row: list[int]) -> None:
         """Adjoin a point at distances ``row`` to the earlier points and
-        record the keys it takes part in."""
+        witness the keys over one and two base points it takes part in."""
         d, m, witness = self.d, len(self.d), self.witnessed.add
         for a in range(m):
             d[a].append(row[a])
@@ -258,18 +256,6 @@ class _SaturationState:
                 witness((c, a, b) if a <= b else (c, b, a))
                 witness((a, b, c) if b <= c else (a, c, b))
                 witness((b, a, c) if a <= c else (b, c, a))
-        for size in range(3, self.recorded + 1):
-            self._record(m, size)
-
-    def _record(self, m: int, size: int) -> None:
-        """Add the keys over ``size`` base points among the points up to
-        ``m`` in which ``m`` is a base point or the further point."""
-        d, witness = self.d, self.witnessed.add
-        for sub in itertools.combinations(range(m + 1), size):
-            base = [[d[a][b] for b in sub] for a in sub]
-            for z in range(m) if sub[-1] == m else (m,):
-                if z not in sub:
-                    witness(_canonical_form(size, base, [d[z][p] for p in sub]))
 
     def missing(self) -> list[tuple]:
         """The unwitnessed keys over one base point and, at arity >= 2,
@@ -290,23 +276,27 @@ class _SaturationState:
 
     def first_unrealized(self):
         """The first ``(subset, prescription)`` over point indices, by
-        size up to the arity, then ``combinations`` and
-        :func:`_katetov_ints` order, whose key is not witnessed; None
-        when there is none."""
-        d = self.d
-        while self.recorded < self.arity:
-            self.recorded += 1
-            for m in range(len(d)):
-                self._record(m, self.recorded)
+        size, ``combinations`` and :func:`_katetov_ints` order, whose
+        type does not occur; None when there is none."""
+        d, have = self.d, self.witnessed
         for size in range(1, self.arity + 1):
             for sub in itertools.combinations(range(len(d)), size):
-                if sub in self.saturated:
-                    continue
                 base = [[d[a][b] for b in sub] for a in sub]
+                # a complete isometry invariant; keys are only added, so a
+                # class once saturated stays so for every subset of it
+                cls = _canonical_form(size, base)
+                if cls in self.saturated:
+                    continue
                 for vals in _katetov_ints(d, sub, self.positive):
-                    if _canonical_form(size, base, vals) not in self.witnessed:
+                    key = _canonical_form(size, base, vals)
+                    if key in have:
+                        continue
+                    # the base plus one point at vals, anywhere in d
+                    target = [r + [v] for r, v in zip(base, vals)] + [[*vals, 0]]
+                    if size < 3 or _embed(d, target, range(len(d)), None, "") is None:
                         return sub, vals
-                self.saturated.add(sub)
+                    have.add(key)
+                self.saturated.add(cls)
         return None
 
 

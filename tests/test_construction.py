@@ -356,6 +356,9 @@ class TestNearbyCopy:
             find_nearby_copy(space_l, [1, 0, 2], desk_bridge, 3)
         with pytest.raises(NotAnEmbeddingError):
             find_nearby_copy(space_l, [0], desk_bridge, 3)
+        for embedding in ([0, 1, 7], [-1, 1, 2]):
+            with pytest.raises(NotAnEmbeddingError, match="indices out of range"):
+                find_nearby_copy(space_l, embedding, desk_bridge, 3)
 
     @pytest.mark.parametrize(
         "embedding", [[0, 1.9, 3], [0, 1.0, 2], [0, "1", 2], [0, True, 2]]
@@ -366,18 +369,31 @@ class TestNearbyCopy:
             find_nearby_copy(space_l, embedding, desk_bridge, 3)
 
 
-@pytest.mark.parametrize("depth", [True, False, 2.0, 2.5, "2", None])
-@pytest.mark.parametrize(
+DEPTH_CALLS = pytest.mark.parametrize(
     "call",
     [
         lambda b, depth: build_tree(b, derive_companion_W(b), depth),
         lambda b, depth: build_H_and_L(b, depth),
         lambda b, depth: find_nearby_copy(
-            build_H_and_L(b, 3)[1], [0, 1, 2], b, depth
+            build_H_and_L(b, 3)[1], [0, 1, 2, 3], b, depth
         ),
     ],
     ids=["build_tree", "build_H_and_L", "find_nearby_copy"],
 )
+
+
+@pytest.mark.parametrize("depth", [True, False, 2.0, 2.5, "2", None])
+@DEPTH_CALLS
 def test_depth_is_a_plain_int(desk_bridge, call, depth):
     with pytest.raises(ParameterError, match="depth must be an integer"):
+        call(desk_bridge, depth)
+
+
+@pytest.mark.parametrize("depth", [0, -5, 4])
+@DEPTH_CALLS
+def test_depth_lies_within_u(desk_bridge, call, depth):
+    # the range is checked before the embedding is read, so depth 4 with
+    # a 4-entry embedding is a bad depth, not a bad embedding
+    want = rf"depth must lie in 1\.\.3 \(points of U\), got {depth}$"
+    with pytest.raises(ParameterError, match=want):
         call(desk_bridge, depth)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -299,9 +303,46 @@ class TestSpaceCommands:
         )
         assert code == 0
         assert json.loads(out)["map"] == ["a", "m", "b"]
+        # only a and b are 2 apart: a is alone in its colour class, and f
+        # differs by 2 on them; a, m, b has no order embedding into m, b
+        far = write_json(tmp_path, "far.json", {
+            "set": RSet([0, 1, 2]).to_json_obj(),
+            "points": ["x", "y"],
+            "dist": [["0", "2"], ["2", "0"]],
+        })
+        for command, *extra in (
+            ("color", "--target", far, "--eps", "0", "--coloring", write_json(
+                tmp_path, "c2.json", {"parts": {"a": 0, "m": 1, "b": 1}}
+            )),
+            ("oscillate", "--target", far, "--eps", "1/2", "--f", write_json(
+                tmp_path, "f2.json", {"values": {"a": "0", "m": "1", "b": "2"}}
+            )),
+            ("embed", "--points", "m,b"),
+        ):
+            code, out, err = run_cli(
+                capsys, "space", command, "--space", mpath, *extra
+            )
+            assert (code, out, err) == (0, '{"found":false}\n', "")
 
 
 class TestCliContract:
+    def test_module_entry_point(self, capsys, tmp_path, mid2_path):
+        # ``python -m distset.cli`` exits with main's code and prints what
+        # main prints, for a failed check, a passed one and an input error
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        interval = write_json(tmp_path, "i.json", RSet([(0, 1)]).to_json_obj())
+        missing = str(tmp_path / "nope.json")
+        for path, want in ((mid2_path, 1), (interval, 0), (missing, 2)):
+            argv = ("set", "check", "--input", path)
+            proc = subprocess.run(
+                [sys.executable, "-m", "distset.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            code, out, err = run_cli(capsys, *argv)
+            assert code == want
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
     def test_input_error_exit_2(self, capsys, tmp_path, desk_bridge):
         missing = str(tmp_path / "nope.json")
         code, _, err = run_cli(capsys, "set", "check", "--input", missing)

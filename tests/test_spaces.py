@@ -248,6 +248,36 @@ class TestSaturation:
         if find_unrealized_katetov(m, S012, 1) is None:
             assert check_universality(m, S012, 2).passed
 
+    def test_saturated_class_hides_no_other_class(self):
+        # p0..p3 and p0, p1, p2, p4 have the same distances, three 1s and
+        # three 2s, but the 2s form a triangle in one and a path in the
+        # other.  With every key over at most three base points and over
+        # the triangle witnessed, the path's types are still searched for.
+        from distset.spaces import (
+            _SaturationState, _canonical_form, _enumerate_matrices, _katetov_ints,
+        )
+
+        d = [
+            [0, 2, 1, 2, 2],
+            [2, 0, 1, 2, 1],
+            [1, 1, 0, 1, 2],
+            [2, 2, 1, 0, 1],
+            [2, 1, 2, 1, 0],
+        ]
+        state = _SaturationState([1, 2], 4)
+        for m, row in enumerate(d):
+            state.add_point(row[:m])
+        bases = [
+            (k, matrix, range(k))
+            for k in (1, 2, 3)
+            for matrix in _enumerate_matrices(k, [1, 2], [10**6])
+        ]
+        for k, matrix, sub in [*bases, (4, d, (0, 1, 2, 3))]:
+            base = [[matrix[a][b] for b in sub] for a in sub]
+            for vals in _katetov_ints(matrix, sub, [1, 2]):
+                state.witnessed.add(_canonical_form(k, base, vals))
+        assert state.first_unrealized() == ((0, 1, 2, 4), (1, 1, 1, 1))
+
 
 def _oracle_cases(seed, count):
     """Seeded spaces with value sets, some sharing the space's
@@ -307,7 +337,7 @@ class TestFractionOracles:
         cases += [(None, path_112(), RSet([0, 1])), (None, quarter_path(), S012)]
         for rng, m, values in cases:
             positive = [v for v in values.points() if v > 0]
-            for arity in (1, 2, 3):
+            for arity in (1, 2, 3, 4):
                 func = find_unrealized_katetov(m, values, arity)
                 want = oracles.first_unrealized_katetov(m, positive, arity)
                 got = None if func is None else func.values
@@ -317,7 +347,7 @@ class TestFractionOracles:
                         p for p in m.points if p in func.values
                     )
                 hits.add(None if func is None else len(func.domain))
-        assert hits == {None, 1, 2, 3}
+        assert hits == {None, 1, 2, 3, 4}
 
     def test_eps_neighborhood(self):
         for rng, m, values in _oracle_cases(79, 60):
